@@ -9,7 +9,7 @@ from dualselmer.classify import residue_degree
 from dualselmer.curve import Good, reduction_type
 from dualselmer.integers import is_prime
 from dualselmer.registry import load_registry
-from dualselmer.torsion import has_p_torsion_in_cyc_tower, torsion_point_degrees
+from dualselmer.torsion import has_p_power_point_degree, torsion_point_degrees
 
 
 def main() -> int:
@@ -32,7 +32,7 @@ def main() -> int:
             print(f"{q:>4} {f:>3} skipped: {q}^{f} above the field-size bound")
             continue
         prof = torsion_point_degrees(curve, args.p, q, f)
-        tower = has_p_torsion_in_cyc_tower(curve, args.p, q, f)
+        tower = has_p_power_point_degree(prof)
         print(
             f"{q:>4} {f:>3} {str(list(prof.x_factor_degrees)):<24} "
             f"{str(list(prof.point_degrees)):<24} {tower}"

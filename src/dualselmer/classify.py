@@ -35,7 +35,7 @@ from .integers import (
 )
 from .torsion import (
     TorsionDegreeProfile,
-    _is_p_power,
+    has_p_power_point_degree,
     rational_p_torsion,
     torsion_point_degrees,
 )
@@ -177,7 +177,7 @@ def classify_prime(E: WeierstrassCurve, p: int, q: int, f: int) -> PrimeEvidence
             prime_class = CLASS_P1
     elif isinstance(red, Good):
         profile = torsion_point_degrees(E, p, q, f)
-        if any(_is_p_power(d, p) for d in profile.point_degrees):
+        if has_p_power_point_degree(profile):
             prime_class = CLASS_P2
     else:
         assert isinstance(red, Additive)

@@ -277,7 +277,7 @@ def _cmd_euler(args) -> int:
 def _cmd_torsion(args) -> int:
     curve, _ = _resolve_single(args)
     profile = torsion.torsion_point_degrees(curve, args.p, args.q, args.f)
-    tower = torsion.has_p_torsion_in_cyc_tower(curve, args.p, args.q, args.f)
+    tower = torsion.has_p_power_point_degree(profile)
     if args.json:
         payload = {
             "p": args.p,
@@ -375,11 +375,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        # parsing is inside the try: --curve coefficients with a zero
+        # discriminant raise SingularCurve from the argparse type hook
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code or 0
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"dualselmer: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

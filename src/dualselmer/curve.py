@@ -1,14 +1,16 @@
 """Weierstrass curves over Q: standard invariants, CM detection, reduction
-types at rational primes, naive point counts over finite fields, and the
-good-ordinary test."""
+types at rational primes, point counts over finite fields (an integer
+quadratic-character sum over prime fields, enumeration over extensions), and
+the good-ordinary test."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FieldContext, count_quadratic_roots, make_field
+from .arith import ENUMERATION_BOUND, FieldContext, count_quadratic_roots, make_field
 from .errors import (
     BadReduction,
+    FieldTooLarge,
     NotPrime,
     PossiblyNonMinimal,
     SingularCurve,
@@ -192,7 +194,7 @@ def _check_minimal_at(curve: WeierstrassCurve, q: int) -> None:
 def reduction_type(curve: WeierstrassCurve, q: int) -> ReductionType:
     """Reduction type of a globally minimal model at the prime q.
 
-    Good primes carry the trace of Frobenius from a naive point count;
+    Good primes carry the trace of Frobenius from a point count over F_q;
     multiplicative primes are split exactly when -c6 is a square in Q_q;
     additive primes record whether the reduction is potentially
     multiplicative (negative q-adic valuation of j).
@@ -213,11 +215,17 @@ def reduction_type(curve: WeierstrassCurve, q: int) -> ReductionType:
 
 
 def count_points(curve: WeierstrassCurve, field: FieldContext) -> int:
-    """#E(F_{q^k}) including the point at infinity, by enumerating x and
-    counting the roots of the y-quadratic."""
+    """#E(F_{q^k}) including the point at infinity.
+
+    Prime fields (k = 1) are counted with Python ints only, in O(q); see
+    _count_points_prime.  Extension fields enumerate x and count the roots
+    of the y-quadratic.
+    """
     q = field.q
     if curve.discriminant % q == 0:
         raise BadReduction(f"curve is singular modulo {q}")
+    if field.k == 1:
+        return _count_points_prime(curve, q)
     e1 = field.embed(curve.a1)
     e2 = field.embed(curve.a2)
     e3 = field.embed(curve.a3)
@@ -229,6 +237,28 @@ def count_points(curve: WeierstrassCurve, field: FieldContext) -> int:
         gamma = -(((x + e2) * x + e4) * x + e6)
         total += count_quadratic_roots(beta, gamma)[0]
     return total
+
+
+def _count_points_prime(curve: WeierstrassCurve, q: int) -> int:
+    if q > ENUMERATION_BOUND:
+        raise FieldTooLarge(f"cardinality {q} exceeds {ENUMERATION_BOUND}")
+    if q == 2:
+        a1, a2, a3, a4, a6 = curve.a_invariants
+        return 1 + sum(
+            (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % 2 == 0
+            for x in (0, 1)
+            for y in (0, 1)
+        )
+    # For odd q, y^2 + (a1 x + a3) y = x^3 + a2 x^2 + a4 x + a6 has
+    # 1 + chi(d(x)) solutions y, where d = 4x^3 + b2 x^2 + 2 b4 x + b6 is the
+    # discriminant of the y-quadratic (2 is a unit in characteristic 3 too).
+    # roots[v] is the number of square roots of v mod q.
+    roots = bytearray(q)
+    roots[0] = 1
+    for y in range(1, q // 2 + 1):
+        roots[y * y % q] = 2
+    b2, b4, b6 = curve.b2 % q, 2 * curve.b4 % q, curve.b6 % q
+    return 1 + sum(roots[(((4 * x + b2) * x + b4) * x + b6) % q] for x in range(q))
 
 
 def trace_of_frobenius(curve: WeierstrassCurve, q: int) -> int:

@@ -80,4 +80,4 @@ class DivisorSearchExhausted(ComputationFailure):
 
 
 class RegistryError(ComputationFailure):
-    """The curve registry file is malformed."""
+    """The curve registry file is unreadable or malformed."""

@@ -43,6 +43,13 @@ def load_registry(path: str | None = None) -> dict[str, WeierstrassCurve]:
     if path is None:
         text = resources.files(__package__).joinpath("curves.txt").read_text()
     else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise RegistryError(
+                f"cannot read registry {path}: {exc.strerror or exc}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise RegistryError(f"registry {path} is not UTF-8 text") from exc
     return parse_registry(text)

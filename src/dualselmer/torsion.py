@@ -185,17 +185,21 @@ def _is_p_power(d: int, p: int) -> bool:
     return d == 1
 
 
+def has_p_power_point_degree(profile: TorsionDegreeProfile) -> bool:
+    """Whether some p-torsion point has a degree over F_{q^f} that is a power
+    of p (p^0 = 1 included).
+
+    The residue fields along the cyclotomic tower above F_{q^f} are exactly
+    the F_{q^(f*p^n)}, so this is nonzero p-torsion over that tower.
+    """
+    return any(_is_p_power(d, profile.p) for d in profile.point_degrees)
+
+
 def has_p_torsion_in_cyc_tower(
     curve: WeierstrassCurve, p: int, q: int, f: int
 ) -> bool:
-    """Nonzero p-torsion over the cyclotomic tower above F_{q^f}.
-
-    The residue fields along that tower are exactly the F_{q^(f*p^n)}, so the
-    criterion is a point degree over F_{q^f} that is a power of p (p^0 = 1
-    included).
-    """
-    profile = torsion_point_degrees(curve, p, q, f)
-    return any(_is_p_power(d, p) for d in profile.point_degrees)
+    """Nonzero p-torsion over the cyclotomic tower above F_{q^f}."""
+    return has_p_power_point_degree(torsion_point_degrees(curve, p, q, f))
 
 
 # generic long-Weierstrass group law -------------------------------------------

@@ -119,3 +119,19 @@ def frobenius_trace_power(a_q: int, q: int, m: int) -> int:
     for _ in range(m - 1):
         t_prev, t = t, a_q * t - q * t_prev
     return t
+
+
+def euler_criterion_count(curve, q: int) -> int:
+    """#E(F_q) at an odd prime q of good reduction: each x contributes
+    1 + chi(D(x)) affine points, where D(x) = (a1 x + a3)^2 + 4 (x^3 + a2 x^2
+    + a4 x + a6) is the discriminant of the y-quadratic and chi is the
+    Legendre symbol by Euler's criterion, one modular power per x."""
+    a1, a2, a3, a4, a6 = curve.a_invariants
+    total = 1
+    for x in range(q):
+        disc = ((a1 * x + a3) ** 2 + 4 * (x ** 3 + a2 * x * x + a4 * x + a6)) % q
+        if disc == 0:
+            total += 1
+        elif pow(disc, (q - 1) // 2, q) == 1:
+            total += 2
+    return total

@@ -2,9 +2,11 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
+from dualselmer import torsion
 from dualselmer.cli import EXIT_COMPUTATION, EXIT_HYPOTHESIS, EXIT_OK, EXIT_USAGE, main
 from dualselmer.errors import RegistryError
 from dualselmer.registry import load_registry, parse_registry
@@ -55,6 +57,30 @@ def test_custom_registry_flag(tmp_path, capsys):
     rc = main(["--registry", str(path), "euler", "--label", "mycurve", "--q", "3"])
     assert rc == EXIT_OK
     assert capsys.readouterr().out == "1 - T\n"
+
+
+def test_missing_registry_exit_1(capsys):
+    rc = main(["--registry", "/nonexistent/curves.txt", "classify", "--p", "5",
+               "--label-E", "21a4", "--label-A", "1950y1"])
+    assert rc == EXIT_COMPUTATION
+    err = capsys.readouterr().err
+    assert "/nonexistent/curves.txt" in err
+    assert "Traceback" not in err
+
+
+def test_undecodable_registry_exit_1(tmp_path, capsys):
+    path = tmp_path / "curves.txt"
+    path.write_bytes(b"\xff\xfe\x00x:1,0,0,1,0\n")
+    rc = main(["--registry", str(path), "euler", "--label", "x", "--q", "3"])
+    assert rc == EXIT_COMPUTATION
+    assert str(path) in capsys.readouterr().err
+
+
+def test_load_registry_unreadable_path_raises_registry_error(tmp_path):
+    with pytest.raises(RegistryError, match="cannot read registry"):
+        load_registry(str(tmp_path / "absent.txt"))
+    with pytest.raises(RegistryError, match="cannot read registry"):
+        load_registry(str(tmp_path))  # a directory
 
 
 # -- classify -----------------------------------------------------------------
@@ -112,6 +138,20 @@ def test_classify_non_minimal_exit_1(capsys):
         ["classify", "--p", "5", "--label-E", "21a4", "--curve-A", "2,0,0,16,0"]
     )
     assert rc == EXIT_COMPUTATION
+
+
+def test_classify_singular_inline_curve_exit_2(capsys):
+    rc = main(["classify", "--p", "5", "--curve-E", "0,0,0,0,0",
+               "--label-A", "1950y1"])
+    assert rc == EXIT_HYPOTHESIS
+    err = capsys.readouterr().err
+    assert "discriminant" in err and "is 0" in err
+
+
+def test_euler_singular_inline_curve_exit_2(capsys):
+    rc = main(["euler", "--curve", "0,0,0,-3,2", "--q", "5"])
+    assert rc == EXIT_HYPOTHESIS
+    assert "discriminant" in capsys.readouterr().err
 
 
 def test_classify_text_mode(capsys):
@@ -216,6 +256,25 @@ def test_euler_not_ordinary_exit_2(capsys):
 # -- torsion --------------------------------------------------------------------
 
 
+def test_euler_above_enumeration_bound_exit_1_fast(capsys):
+    start = time.perf_counter()
+    rc = main(["euler", "--label", "21a4", "--q", "1000003"])
+    elapsed = time.perf_counter() - start
+    assert rc == EXIT_COMPUTATION
+    assert "enumeration bound" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+def test_euler_prime_near_enumeration_bound(capsys):
+    # q = 999983 is the largest prime under the bound; the integer count
+    # makes it a sub-second call
+    rc = main(["euler", "--label", "21a4", "--q", "999983", "--json"])
+    assert rc == EXIT_OK
+    one, minus_a_q, q = json.loads(capsys.readouterr().out)["coefficients"]
+    assert (one, q) == (1, 999983)
+    assert minus_a_q * minus_a_q <= 4 * q
+
+
 def test_torsion_command(capsys):
     rc = main(["torsion", "--label", "21a4", "--p", "5", "--q", "2", "--f", "4"])
     assert rc == EXIT_OK
@@ -234,6 +293,24 @@ def test_torsion_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["x_factor_degrees"] == [3, 3, 3, 3]
     assert data["tower_torsion"] is False
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_torsion_factors_psi_p_once(monkeypatch, capsys, extra):
+    calls = []
+    original = torsion.torsion_point_degrees
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(torsion, "torsion_point_degrees", counting)
+    rc = main(["torsion", "--label", "1950y1", "--p", "5", "--q", "7", "--f", "1",
+               *extra])
+    assert rc == EXIT_OK
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert ("true" in out) and ("false" not in out)
 
 
 def test_torsion_bad_reduction_exit_2(capsys):

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from dualselmer.arith import make_field
+from dualselmer.arith import FieldContext, make_field
 from dualselmer.curve import (
     Additive,
     Good,
@@ -21,12 +21,15 @@ from dualselmer.curve import (
 )
 from dualselmer.errors import (
     BadReduction,
+    FieldTooLarge,
     PossiblyNonMinimal,
     SingularCurve,
     ZeroInput,
 )
+from dualselmer.integers import is_prime
+from dualselmer.registry import load_registry
 
-from helpers import curve_points, frobenius_trace_power
+from helpers import curve_points, euler_criterion_count, frobenius_trace_power
 
 E21A4 = WeierstrassCurve(1, 0, 0, 1, 0)
 A1950Y1 = WeierstrassCurve(1, 0, 0, -355303, -89334583)
@@ -255,6 +258,38 @@ def test_hasse_and_trace_recurrence(curve, q):
         count = count_points(curve, make_field(q, k))
         assert count == q ** k + 1 - frobenius_trace_power(a_q, q, k)
         assert (q ** k + 1 - count) ** 2 <= 4 * q ** k
+
+
+@given(
+    st.tuples(*[st.integers(-50, 50)] * 5),
+    st.sampled_from([q for q in range(2, 100) if is_prime(q)]),
+)
+@example((1, 0, 0, 1, 0), 2)
+@example((0, 0, 0, 1, 0), 3)
+@example((0, 0, 1, -1, 0), 3)
+@settings(max_examples=60, deadline=None)
+def test_prime_field_count_matches_double_loop(ai, q):
+    try:
+        curve = WeierstrassCurve(*ai)
+    except SingularCurve:
+        assume(False)
+    assume(curve.discriminant % q != 0)
+    field = make_field(q, 1)
+    assert count_points(curve, field) == len(curve_points(curve, field))
+
+
+@pytest.mark.parametrize("label", sorted(load_registry()))
+def test_prime_field_count_matches_euler_criterion_near_1e4(label):
+    curve = load_registry()[label]
+    q = 10007
+    assert curve.discriminant % q != 0
+    assert count_points(curve, make_field(q, 1)) == euler_criterion_count(curve, q)
+
+
+def test_prime_field_count_above_bound_refused():
+    # a prime field built without make_field still meets the bound
+    with pytest.raises(FieldTooLarge):
+        count_points(E21A4, FieldContext(1000003))
 
 
 def test_count_matches_double_loop_small_extensions():
