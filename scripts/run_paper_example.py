@@ -3,27 +3,16 @@
 print both the narrative and the canonical JSON report."""
 import sys
 
-from dualselmer.classify import build_report
-from dualselmer.cli import dumps_canonical, render_text, report_to_dict
-from dualselmer.registry import load_registry
+from dualselmer.cli import (
+    dumps_canonical,
+    paper_example_report,
+    render_text,
+    report_to_dict,
+)
 
 
 def main() -> int:
-    table = load_registry()
-    report = build_report(
-        table["21a4"],
-        table["1950y1"],
-        5,
-        lam=0,
-        mu=0,
-        rk_zp=0,
-        label_E="21a4",
-        label_A="1950y1",
-        extra_caveats=(
-            "paper-conditional: lambda = mu = rk_zp = 0 are the published "
-            "invariants for this example, assumed rather than computed",
-        ),
-    )
+    report = paper_example_report()
     sys.stdout.write(render_text(report))
     sys.stdout.write("\n")
     sys.stdout.write(dumps_canonical(report_to_dict(report)))

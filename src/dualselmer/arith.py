@@ -1,7 +1,6 @@
 """Exact finite-field arithmetic.
 
-Builds F_{q^k} with a canonical modulus, supports quotient-ring extensions of
-an already constructed field (towers), solves quadratic equations in every
+Builds F_{q^k} with a canonical modulus, solves quadratic equations in every
 characteristic without enumeration, and factors polynomials completely via
 squarefree decomposition, distinct-degree splitting and seeded
 Cantor-Zassenhaus equal-degree splitting.
@@ -31,45 +30,23 @@ _SPLIT_SEED = 0x5E1F1E1D
 
 
 class FieldContext:
-    """An explicit finite field.
+    """An explicit finite field: F_q, or F_q[x]/(modulus) for a monic
+    irreducible modulus of degree k over F_q (see ``make_field``).
 
-    Three construction shapes share one arithmetic core:
-
-    * ``FieldContext(q)`` is the prime field F_q,
-    * ``make_field(q, k)`` extends F_q by the canonical degree-k modulus,
-    * ``base.extension(g)`` is the quotient ``base[x]/(g)`` for a monic
-      irreducible g over an existing context (used for towers such as
-      F_{q^f}[x]/(cubic) without re-embedding into a prime-field model).
-
-    Elements are coefficient vectors over the base: plain residues for
-    prime-base contexts, FqElement scalars for towers.
+    Elements are coefficient vectors of k ints in [0, q), low degree first.
     """
 
-    def __init__(self, q, modulus=None, base=None, _checked=False):
-        if not _checked:
-            if not is_prime(q):
-                raise NotPrime(f"{q} is not prime")
-            if base is not None and base.q != q:
-                raise MixedContexts("extension must keep the characteristic")
+    def __init__(self, q, modulus=None, _checked=False):
+        if not _checked and not is_prime(q):
+            raise NotPrime(f"{q} is not prime")
         self.q = q
-        self.base = base
         self.modulus = None if modulus is None else tuple(modulus)
-        if self.modulus is None:
-            self.degree = 1
-        else:
-            self.degree = len(self.modulus) - 1
-        self.k = self.degree * (1 if base is None else base.k)
+        self.k = 1 if self.modulus is None else len(self.modulus) - 1
         self.cardinality = q ** self.k
-        self._key = (
-            q,
-            self.k,
-            None if self.modulus is None else _scalar_key_tuple(self),
-            None if base is None else base._key,
-        )
+        self._key = (q, self.k, self.modulus)
         self._hash = hash(self._key)
         self._nonresidue = None
         self._trace_one = None
-        self._lex_scalars = None
 
     def __eq__(self, other):
         if self is other:
@@ -82,98 +59,39 @@ class FieldContext:
         return self._hash
 
     def __repr__(self):
-        if self.base is None and self.modulus is None:
+        if self.modulus is None:
             return f"F_{self.q}"
         return f"F_{self.q}^{self.k}"
 
-    # -- scalar layer (entries of coefficient vectors) ----------------------
-
-    def _szero(self):
-        return 0 if self.base is None else self.base.zero()
-
-    def _sone(self):
-        return 1 if self.base is None else self.base.one()
-
-    def _sadd(self, a, b):
-        if self.base is None:
-            return (a + b) % self.q
-        return FqElement(self.base, self.base._eadd(a.coeffs, b.coeffs))
-
-    def _ssub(self, a, b):
-        if self.base is None:
-            return (a - b) % self.q
-        return FqElement(self.base, self.base._esub(a.coeffs, b.coeffs))
-
-    def _smul(self, a, b):
-        if self.base is None:
-            return (a * b) % self.q
-        if a is b:
-            return FqElement(self.base, self.base._esqr(a.coeffs))
-        return FqElement(self.base, self.base._emul(a.coeffs, b.coeffs))
-
-    def _sneg(self, a):
-        if self.base is None:
-            return (-a) % self.q
-        return FqElement(self.base, self.base._eneg(a.coeffs))
-
-    def _sinv(self, a):
-        return pow(a, self.q - 2, self.q) if self.base is None else a.inverse()
-
-    def _sis_zero(self, a):
-        return a == 0 if self.base is None else a.is_zero()
-
-    def _sembed(self, n):
-        return n % self.q if self.base is None else self.base.embed(n)
-
-    def _scardinality(self):
-        return self.q if self.base is None else self.base.cardinality
-
-    def _sfrom_index(self, i):
-        return i if self.base is None else self.base.from_index(i)
-
-    # -- element layer -------------------------------------------------------
-
     def zero(self) -> "FqElement":
-        return FqElement(self, (self._szero(),) * self.degree)
+        return FqElement(self, (0,) * self.k)
 
     def one(self) -> "FqElement":
         return self.embed(1)
 
     def embed(self, n: int) -> "FqElement":
         """Image of a rational integer."""
-        pad = (self._szero(),) * (self.degree - 1)
-        return FqElement(self, (self._sembed(n),) + pad)
+        return FqElement(self, (n % self.q,) + (0,) * (self.k - 1))
 
-    def element(self, scalars: Sequence) -> "FqElement":
+    def element(self, coeffs: Sequence[int]) -> "FqElement":
         """Element from a coefficient vector (low degree first, may be short)."""
-        if len(scalars) > self.degree:
+        if len(coeffs) > self.k:
             raise ValueError("coefficient vector longer than the field degree")
-        if self.base is None:
-            vec = [s % self.q for s in scalars]
-        else:
-            vec = []
-            for s in scalars:
-                if not isinstance(s, FqElement) or s.field != self.base:
-                    raise MixedContexts("scalars must lie in the base field")
-                vec.append(s)
-        vec += [self._szero()] * (self.degree - len(vec))
+        vec = [c % self.q for c in coeffs] + [0] * (self.k - len(coeffs))
         return FqElement(self, tuple(vec))
 
     def gen(self) -> "FqElement":
-        """Residue class of x in base[x]/(modulus)."""
+        """Residue class of x in F_q[x]/(modulus)."""
         if self.modulus is None:
             raise ValueError("the prime field has no generator over itself")
-        vec = [self._szero()] * self.degree
-        vec[1] = self._sone()
-        return FqElement(self, tuple(vec))
+        return self.element((0, 1))
 
     def from_index(self, i: int) -> "FqElement":
-        """Element number i in [0, cardinality): base-|scalars| digits."""
-        sc = self._scardinality()
+        """Element number i in [0, cardinality): base-q digits."""
         vec = []
-        for _ in range(self.degree):
-            vec.append(self._sfrom_index(i % sc))
-            i //= sc
+        for _ in range(self.k):
+            i, digit = divmod(i, self.q)
+            vec.append(digit)
         return FqElement(self, tuple(vec))
 
     def elements(self) -> Iterator["FqElement"]:
@@ -182,163 +100,96 @@ class FieldContext:
             raise FieldTooLarge(
                 f"cardinality {self.cardinality} exceeds {ENUMERATION_BOUND}"
             )
-        scalars = (
-            range(self.q) if self.base is None else list(self.base.elements())
-        )
-        for vec in itertools.product(scalars, repeat=self.degree):
-            yield FqElement(self, vec)
+        yield from self._lex_element_iter()
 
     def _lex_element_iter(self) -> Iterator["FqElement"]:
         # Deterministic search order for non-residues / trace-one elements,
         # usable even above the enumeration bound (consumed lazily).
-        if self.base is None:
-            scalars = range(self.q)
-        else:
-            if self._lex_scalars is None:
-                self._lex_scalars = list(
-                    itertools.islice(
-                        self.base._lex_element_iter(), self.base.cardinality
-                    )
-                )
-            scalars = self._lex_scalars
-        for vec in itertools.product(scalars, repeat=self.degree):
+        for vec in itertools.product(range(self.q), repeat=self.k):
             yield FqElement(self, vec)
-
-    def extension(self, g: "FqPoly") -> "FieldContext":
-        """Quotient field self[x]/(g) for monic irreducible g of degree >= 2."""
-        if g.field != self:
-            raise MixedContexts("modulus must be a polynomial over this field")
-        if g.degree < 2:
-            raise DegreeOutOfRange("extension degree must be at least 2")
-        g = g.monic()
-        if not is_irreducible(g):
-            raise ValueError("extension modulus must be irreducible")
-        return FieldContext(self.q, g.coeffs, self, _checked=True)
 
     # -- coefficient-vector arithmetic ---------------------------------------
 
     def _eadd(self, u, v):
-        return tuple(self._sadd(a, b) for a, b in zip(u, v))
+        q = self.q
+        return tuple((a + b) % q for a, b in zip(u, v))
 
     def _esub(self, u, v):
-        return tuple(self._ssub(a, b) for a, b in zip(u, v))
+        q = self.q
+        return tuple((a - b) % q for a, b in zip(u, v))
 
     def _eneg(self, u):
-        return tuple(self._sneg(a) for a in u)
+        q = self.q
+        return tuple(-a % q for a in u)
 
     def _emul(self, u, v):
-        n = self.degree
-        if n == 1:
-            return (self._smul(u[0], v[0]),)
-        if u is v:
-            return self._esqr(u)
-        prod = [self._szero()] * (2 * n - 1)
+        if self.k == 1:
+            return (u[0] * v[0] % self.q,)
+        prod = [0] * (2 * self.k - 1)
         for i, a in enumerate(u):
-            if self._sis_zero(a):
-                continue
-            for j, b in enumerate(v):
-                prod[i + j] = self._sadd(prod[i + j], self._smul(a, b))
-        return self._ereduce(prod)
-
-    def _esqr(self, u):
-        # cross terms carry a factor 2, so they vanish in characteristic 2
-        n = self.degree
-        if n == 1:
-            return (self._smul(u[0], u[0]),)
-        prod = [self._szero()] * (2 * n - 1)
-        for i, a in enumerate(u):
-            if self._sis_zero(a):
-                continue
-            prod[2 * i] = self._sadd(prod[2 * i], self._smul(a, a))
-            if self.q != 2:
-                for j in range(i + 1, n):
-                    b = u[j]
-                    if not self._sis_zero(b):
-                        t = self._smul(a, b)
-                        prod[i + j] = self._sadd(prod[i + j], self._sadd(t, t))
+            if a:
+                for j, b in enumerate(v):
+                    prod[i + j] += a * b
         return self._ereduce(prod)
 
     def _ereduce(self, prod):
-        # reduce in place by the monic modulus
-        n = self.degree
-        mod = self.modulus
+        # reduce in place by the monic modulus, then mod q
+        q, n, mod = self.q, self.k, self.modulus
         for i in range(len(prod) - 1, n - 1, -1):
-            c = prod[i]
-            if not self._sis_zero(c):
+            c = prod[i] % q
+            if c:
                 for j in range(n):
-                    prod[i - n + j] = self._ssub(
-                        prod[i - n + j], self._smul(c, mod[j])
-                    )
-        return tuple(prod[:n])
+                    prod[i - n + j] -= c * mod[j]
+        return tuple(c % q for c in prod[:n])
 
     def _einv(self, u):
-        if all(self._sis_zero(a) for a in u):
+        q = self.q
+        if not any(u):
             raise ZeroDivisionError("inverting 0")
-        if self.degree == 1:
-            return (self._sinv(u[0]),)
-        # extended Euclid for u against the modulus, over base scalars
-        r0 = list(self.modulus)
-        r1 = _ptrim(self, list(u))
+        if self.k == 1:
+            return (pow(u[0], q - 2, q),)
+        # extended Euclid for u against the modulus, on int lists mod q
+        r0, r1 = list(self.modulus), _trim(list(u))
         t0: list = []
-        t1 = [self._sone()]
+        t1 = [1]
         while r1:
-            quo, rem = _pdivmod_scalars(self, r0, r1)
+            quo, rem = _divmod_ints(r0, r1, q)
             r0, r1 = r1, rem
-            t0, t1 = t1, _psub_scalars(self, t0, _pmul_scalars(self, quo, t1))
-        c = self._sinv(r0[0])
-        out = [self._smul(c, a) for a in t0]
-        out += [self._szero()] * (self.degree - len(out))
-        return tuple(out[: self.degree])
+            t0, t1 = t1, _submul_ints(t0, quo, t1, q)
+        c = pow(r0[0], q - 2, q)
+        return tuple(c * a % q for a in t0) + (0,) * (self.k - len(t0))
 
 
-def _scalar_key_tuple(ctx: FieldContext):
-    if ctx.base is None:
-        return ctx.modulus
-    return tuple(s.lex_key() for s in ctx.modulus)
+# int-list polynomial helpers over F_q (low degree first) used by _einv ------
 
 
-# scalar-coefficient polynomial helpers used by _einv -------------------------
-
-def _ptrim(ctx, p):
-    while p and ctx._sis_zero(p[-1]):
+def _trim(p):
+    while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _psub_scalars(ctx, a, b):
-    n = max(len(a), len(b))
-    a = a + [ctx._szero()] * (n - len(a))
-    b = b + [ctx._szero()] * (n - len(b))
-    return _ptrim(ctx, [ctx._ssub(x, y) for x, y in zip(a, b)])
+def _submul_ints(a, b, c, q):
+    # a - b*c mod q
+    out = list(a) + [0] * max(len(b) + len(c) - 1 - len(a), 0)
+    for i, x in enumerate(b):
+        for j, y in enumerate(c):
+            out[i + j] -= x * y
+    return _trim([v % q for v in out])
 
 
-def _pmul_scalars(ctx, a, b):
-    if not a or not b:
-        return []
-    out = [ctx._szero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if ctx._sis_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = ctx._sadd(out[i + j], ctx._smul(x, y))
-    return _ptrim(ctx, out)
-
-
-def _pdivmod_scalars(ctx, a, b):
+def _divmod_ints(a, b, q):
     a = list(a)
     db = len(b) - 1
-    inv_lead = ctx._sinv(b[-1])
-    quo = [ctx._szero()] * max(len(a) - db, 0)
-    while len(a) - 1 >= db:
-        c = ctx._smul(a[-1], inv_lead)
-        s = len(a) - 1 - db
-        if not ctx._sis_zero(c):
-            quo[s] = c
+    inv_lead = pow(b[-1], q - 2, q)
+    quo = [0] * max(len(a) - db, 0)
+    for s in range(len(quo) - 1, -1, -1):
+        c = a[s + db] * inv_lead % q
+        quo[s] = c
+        if c:
             for i in range(db + 1):
-                a[s + i] = ctx._ssub(a[s + i], ctx._smul(c, b[i]))
-        a.pop()
-        _ptrim(ctx, a)
-    return _ptrim(ctx, quo), _ptrim(ctx, a)
+                a[s + i] = (a[s + i] - c * b[i]) % q
+    return _trim(quo), _trim(a[:db])
 
 
 @dataclass(frozen=True, slots=True)
@@ -367,8 +218,6 @@ class FqElement:
         return FqElement(self.field, self.field._eneg(self.coeffs))
 
     def __mul__(self, other):
-        if other is self:
-            return FqElement(self.field, self.field._esqr(self.coeffs))
         other = self._peer(other)
         return FqElement(self.field, self.field._emul(self.coeffs, other.coeffs))
 
@@ -391,16 +240,14 @@ class FqElement:
         return FqElement(self.field, self.field._einv(self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(self.field._sis_zero(a) for a in self.coeffs)
+        return not any(self.coeffs)
 
     def lex_key(self) -> tuple:
-        """Flattened integer tuple; a total order on elements of one field."""
-        if self.field.base is None:
-            return self.coeffs
-        return tuple(s.lex_key() for s in self.coeffs)
+        """The coefficient tuple; a total order on elements of one field."""
+        return self.coeffs
 
     def __repr__(self):
-        return f"Fq({self.lex_key()} in {self.field!r})"
+        return f"Fq({self.coeffs} in {self.field!r})"
 
 
 @dataclass(frozen=True)
@@ -525,6 +372,8 @@ class FqPoly:
         return acc
 
     def pow_mod(self, e: int, mod: "FqPoly") -> "FqPoly":
+        if e < 0:
+            raise ValueError(f"pow_mod exponent {e} is negative")
         result = FqPoly.from_ints(self.field, (1,)) % mod
         base = self % mod
         while e:
@@ -580,7 +429,7 @@ def make_field(q: int, k: int) -> FieldContext:
         candidate = FqPoly.from_ints(prime, low + [1])
         if is_irreducible(candidate):
             return FieldContext(
-                q, tuple(c.coeffs[0] for c in candidate.coeffs), None, _checked=True
+                q, tuple(c.coeffs[0] for c in candidate.coeffs), _checked=True
             )
     raise AssertionError("unreachable: irreducible polynomials exist in every degree")
 
@@ -606,6 +455,20 @@ def is_irreducible(f: FqPoly) -> bool:
         if poly_gcd(h, f).degree != 0:
             return False
     return True
+
+
+def trace_mod(c: FqPoly, mod: FqPoly, n: int) -> FqPoly:
+    """Sum of c^(2^i) mod ``mod`` over i < n, in characteristic 2.
+
+    For irreducible ``mod`` of degree m over F_(2^k) and n = k*m this is the
+    absolute trace of c in F_(2^k)[x]/(mod) = F_(2^n), a constant 0 or 1;
+    for a product of such moduli it is that trace in each residue field.
+    """
+    acc = term = c % mod
+    for _ in range(n - 1):
+        term = (term * term) % mod
+        acc = acc + term
+    return acc
 
 
 # -- quadratic equations -------------------------------------------------------
@@ -835,12 +698,7 @@ def _equal_degree_split(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
             continue
         if field.q == 2:
             # trace map of the residue fields F_{2^(k*d)} down to F_2
-            acc = r % f
-            term = acc
-            for _ in range(d * field.k - 1):
-                term = (term * term) % f
-                acc = acc + term
-            g = poly_gcd(acc, f)
+            g = poly_gcd(trace_mod(r, f, d * field.k), f)
         else:
             g = poly_gcd(r.pow_mod((Q ** d - 1) // 2, f) - one, f)
         if 0 < g.degree < f.degree:

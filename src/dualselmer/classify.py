@@ -16,6 +16,7 @@ from .curve import (
     ReductionType,
     SplitMultiplicative,
     WeierstrassCurve,
+    check_minimal_at,
     is_cm,
     is_good_ordinary,
     reduction_type,
@@ -24,14 +25,12 @@ from .errors import (
     DivisorSearchExhausted,
     NotMultiplicative,
     NotPrime,
-    PossiblyNonMinimal,
 )
 from .integers import (
     check_distinct_primes,
     factorize,
     is_prime,
     multiplicative_order,
-    valuation,
 )
 from .torsion import (
     TorsionDegreeProfile,
@@ -101,11 +100,7 @@ def bad_primes(curve: WeierstrassCurve) -> frozenset[int]:
     primality certificate on the residual."""
     fac = factorize(curve.discriminant)
     for q in fac:
-        v_disc = fac[q]
-        if v_disc >= 12 and (curve.c4 == 0 or valuation(curve.c4, q) >= 4):
-            raise PossiblyNonMinimal(
-                f"v_{q}(disc) = {v_disc} >= 12 and v_{q}(c4) >= 4"
-            )
+        check_minimal_at(curve, q)
     return frozenset(fac)
 
 

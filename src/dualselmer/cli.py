@@ -199,24 +199,17 @@ def _check_p(p: int) -> None:
         raise HypothesisFailure("p must be a prime >= 5")
 
 
-def _run_classify(E, A, p, label_E, label_A, args, extra_caveats=()):
+def _checked_report(E, A, p, **kwargs) -> classify_mod.ClassificationReport:
     _check_p(p)
     if is_cm(E) is not None or is_cm(A) is not None:
         raise HypothesisFailure("both curves must be without complex multiplication")
     if not is_good_ordinary(E, p):
         raise HypothesisFailure(f"E must have good ordinary reduction at {p}")
-    report = classify_mod.build_report(
-        E,
-        A,
-        p,
-        lam=args.lam,
-        mu=args.mu,
-        rk_zp=args.rk_zp,
-        label_E=label_E,
-        label_A=label_A,
-        extra_caveats=extra_caveats,
-    )
-    if args.text:
+    return classify_mod.build_report(E, A, p, **kwargs)
+
+
+def _write_report(report, text: bool) -> int:
+    if text:
         sys.stdout.write(render_text(report))
     else:
         sys.stdout.write(dumps_canonical(report_to_dict(report)))
@@ -226,24 +219,31 @@ def _run_classify(E, A, p, label_E, label_A, args, extra_caveats=()):
 def _cmd_classify(args) -> int:
     E, label_E = _resolve(args, "E")
     A, label_A = _resolve(args, "A")
-    return _run_classify(E, A, args.p, label_E, label_A, args)
+    report = _checked_report(
+        E, A, args.p, lam=args.lam, mu=args.mu, rk_zp=args.rk_zp,
+        label_E=label_E, label_A=label_A,
+    )
+    return _write_report(report, args.text)
+
+
+PAPER_EXAMPLE_CAVEAT = (
+    "paper-conditional: lambda = mu = rk_zp = 0 are the published "
+    "invariants for this example, assumed rather than computed"
+)
+
+
+def paper_example_report(registry_path=None) -> classify_mod.ClassificationReport:
+    """The built-in example: E = 21a4, A = 1950y1, p = 5, with the published
+    lambda = mu = rk_zp = 0 assumed."""
+    table = registry.load_registry(registry_path)
+    return _checked_report(
+        table["21a4"], table["1950y1"], 5, lam=0, mu=0, rk_zp=0,
+        label_E="21a4", label_A="1950y1", extra_caveats=(PAPER_EXAMPLE_CAVEAT,),
+    )
 
 
 def _cmd_paper_example(args) -> int:
-    table = registry.load_registry(args.registry)
-    ns = argparse.Namespace(lam=0, mu=0, rk_zp=0, text=args.text)
-    return _run_classify(
-        table["21a4"],
-        table["1950y1"],
-        5,
-        "21a4",
-        "1950y1",
-        ns,
-        extra_caveats=(
-            "paper-conditional: lambda = mu = rk_zp = 0 are the published "
-            "invariants for this example, assumed rather than computed",
-        ),
-    )
+    return _write_report(paper_example_report(args.registry), args.text)
 
 
 def _cmd_euler(args) -> int:
@@ -341,7 +341,6 @@ def build_parser() -> _Parser:
     p_classify.add_argument("--lambda", dest="lam", type=int, default=None)
     p_classify.add_argument("--mu", type=int, default=None)
     p_classify.add_argument("--rk-zp", type=int, default=None)
-    p_classify.add_argument("--precision", type=int, default=lfunc.DEFAULT_PRECISION)
     _add_output_flags(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 

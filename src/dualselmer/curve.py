@@ -179,8 +179,11 @@ class Additive:
 ReductionType = Good | SplitMultiplicative | NonsplitMultiplicative | Additive
 
 
-def _check_minimal_at(curve: WeierstrassCurve, q: int) -> None:
-    # Cheap guard against obviously non-minimal models; no Laska-Kraus here.
+def check_minimal_at(curve: WeierstrassCurve, q: int) -> None:
+    """Raise PossiblyNonMinimal when v_q(disc) >= 12 and v_q(c4) >= 4.
+
+    A cheap guard against obviously non-minimal models; no Laska-Kraus here.
+    """
     v_disc = valuation(curve.discriminant, q)
     if v_disc < 12:
         return
@@ -201,7 +204,7 @@ def reduction_type(curve: WeierstrassCurve, q: int) -> ReductionType:
     """
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
-    _check_minimal_at(curve, q)
+    check_minimal_at(curve, q)
     disc = curve.discriminant
     if disc % q != 0:
         n = count_points(curve, make_field(q, 1))

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FieldContext, FqPoly, count_quadratic_roots, make_field, poly_factor
+from .arith import FieldContext, FqPoly, make_field, poly_factor, trace_mod
 from .curve import Good, WeierstrassCurve, reduction_type
 from .errors import (
     BadIndex,
@@ -130,21 +130,30 @@ def embed_curve(curve: WeierstrassCurve, field: FieldContext):
     return tuple(field.embed(a) for a in curve.a_invariants)
 
 
-def _point_field_degree(curve, base_field, factor) -> int:
-    # degree over base_field of the field of definition of a point above a
-    # root of the given irreducible x-factor
+def _point_field_degree(curve, field, factor) -> int:
+    # Degree over field = F_Q of the field of definition of a point above a
+    # root x0 of the monic irreducible x-factor, decided in
+    # F_Q[x]/(factor) = F_Q(x0), of degree m: the y-quadratic
+    # y^2 + beta(x0) y = gamma(x0) has a root there, giving degree m, or
+    # none, giving 2m.
     m = factor.degree
-    if m == 1:
-        quot = base_field
-        x0 = -factor.coeffs[0]
-    else:
-        quot = base_field.extension(factor)
-        x0 = quot.gen()
-    e1, e2, e3, e4, e6 = embed_curve(curve, quot)
-    beta = e1 * x0 + e3
-    gamma = -(((x0 + e2) * x0 + e4) * x0 + e6)
-    n_roots, _ = count_quadratic_roots(beta, gamma)
-    return m if n_roots >= 1 else 2 * m
+    Qm = field.cardinality ** m
+    if field.q == 2:
+        # solvable iff beta(x0) = 0 or the absolute trace of gamma/beta^2 is
+        # 0; beta^(2Qm - 4) is beta^-2 (Qm - 3 is negative at Qm = 2)
+        beta = FqPoly.from_ints(field, (curve.a3, curve.a1)) % factor
+        if beta.is_zero():
+            return m
+        gamma = FqPoly.from_ints(field, (curve.a6, curve.a4, curve.a2, 1))
+        c = (gamma * beta.pow_mod(2 * Qm - 4, factor)) % factor
+        return m if trace_mod(c, factor, field.k * m).is_zero() else 2 * m
+    # odd q: solvable iff the discriminant 4x0^3 + b2 x0^2 + 2 b4 x0 + b6
+    # is a square in F_Q(x0)
+    disc = FqPoly.from_ints(field, (curve.b6, 2 * curve.b4, curve.b2, 4)) % factor
+    if disc.is_zero():
+        return m
+    one = FqPoly.from_ints(field, (1,))
+    return m if disc.pow_mod((Qm - 1) // 2, factor) == one else 2 * m
 
 
 def torsion_point_degrees(

@@ -12,6 +12,7 @@ from dualselmer.arith import (
     make_field,
     poly_factor,
     poly_gcd,
+    trace_mod,
 )
 from dualselmer.errors import (
     DegreeOutOfRange,
@@ -109,23 +110,6 @@ def test_mixed_contexts_rejected():
     b = make_field(3, 1).one()
     with pytest.raises(MixedContexts):
         _ = a + b
-
-
-def test_extension_tower_cardinality():
-    F = make_field(2, 4)
-    cubic = None
-    for cand in monic_polys(F, 3):
-        if is_irreducible(cand):
-            cubic = cand
-            break
-    R = F.extension(cubic)
-    assert R.k == 12 and R.cardinality == 2 ** 12
-    # the generator is a root of the modulus
-    x0 = R.gen()
-    e = R.zero()
-    for c in reversed(cubic.coeffs):
-        e = e * x0 + R.element([c])
-    assert e.is_zero()
 
 
 # -- quadratic roots -------------------------------------------------------------
@@ -316,3 +300,31 @@ def test_gcd_monic():
     g = FqPoly.from_ints(F, [1, 1]).scale(F.embed(3))
     h = poly_gcd(f, g)
     assert h == FqPoly.from_ints(F, [1, 1])
+
+
+def test_pow_mod_rejects_negative_exponent():
+    F = make_field(5, 1)
+    mod = FqPoly.from_ints(F, [2, 0, 1])
+    with pytest.raises(ValueError, match="-1"):
+        FqPoly.x(F).pow_mod(-1, mod)
+
+
+def test_pow_mod_zero_exponent_is_one():
+    F = make_field(2, 1)
+    mod = FqPoly.from_ints(F, [1, 1])
+    assert FqPoly.x(F).pow_mod(0, mod) == FqPoly.from_ints(F, [1])
+
+
+def test_trace_mod_matches_element_trace():
+    # F_2[x]/(x^4 + x + 1) is F_16: trace_mod of a residue equals the
+    # element trace sum_i c^(2^i) computed in make_field(2, 4)
+    F2, F16 = make_field(2, 1), make_field(2, 4)
+    mod = FqPoly.from_ints(F2, F16.modulus)
+    traces = set()
+    for c in F16.elements():
+        tr = c + c ** 2 + c ** 4 + c ** 8
+        assert tr in (F16.zero(), F16.one())
+        got = trace_mod(FqPoly.from_ints(F2, c.coeffs), mod, 4)
+        assert got == FqPoly.from_ints(F2, [tr.coeffs[0]])
+        traces.add(tr)
+    assert len(traces) == 2

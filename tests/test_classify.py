@@ -11,6 +11,7 @@ from dualselmer.curve import (
 from dualselmer.errors import (
     DivisorSearchExhausted,
     NotMultiplicative,
+    PossiblyNonMinimal,
     SamePrime,
 )
 from dualselmer.integers import valuation
@@ -27,6 +28,12 @@ def test_bad_primes():
     assert cl.bad_primes(E21A4) == {3, 7}
     assert cl.bad_primes(A1950Y1) == {2, 3, 5, 13}
     assert cl.bad_primes(E_J0) == {2, 3}
+
+
+def test_bad_primes_rejects_non_minimal_model():
+    # 21a4 scaled by u = 2: v_2(disc) = 12 and v_2(c4) >= 4
+    with pytest.raises(PossiblyNonMinimal, match="v_2"):
+        cl.bad_primes(WeierstrassCurve(2, 0, 0, 16, 0))
 
 
 def test_p0_set():

@@ -140,6 +140,13 @@ def test_classify_non_minimal_exit_1(capsys):
     assert rc == EXIT_COMPUTATION
 
 
+def test_classify_precision_flag_removed(capsys):
+    rc = main(["classify", "--p", "5", "--label-E", "21a4", "--label-A", "1950y1",
+               "--precision", "5"])
+    assert rc == EXIT_USAGE
+    assert "--precision" in capsys.readouterr().err
+
+
 def test_classify_singular_inline_curve_exit_2(capsys):
     rc = main(["classify", "--p", "5", "--curve-E", "0,0,0,0,0",
                "--label-A", "1950y1"])

@@ -1,8 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from dualselmer.arith import FqPoly, is_irreducible, make_field, poly_factor
+from dualselmer.arith import (
+    FqPoly,
+    count_quadratic_roots,
+    make_field,
+    poly_factor,
+)
 from dualselmer.curve import WeierstrassCurve
 from dualselmer.errors import (
     BadIndex,
@@ -11,6 +17,7 @@ from dualselmer.errors import (
     SamePrime,
 )
 from dualselmer.integers import is_prime
+from dualselmer.registry import load_registry
 from dualselmer.torsion import (
     division_poly,
     embed_curve,
@@ -74,32 +81,111 @@ def test_division_poly_roots_are_torsion_x_coordinates():
         assert tors_x == roots and roots
 
 
+def _roots_in(g, field):
+    # roots of the F_q-polynomial g in an extension field, by factoring there
+    lifted = FqPoly.from_ints(field, [c.coeffs[0] for c in g.coeffs])
+    return [-h.coeffs[0] for h, _ in poly_factor(lifted) if h.degree == 1]
+
+
+def _y_roots(curve, x):
+    # solutions y of the curve equation above x, in x's field
+    e1, e2, e3, e4, e6 = embed_curve(curve, x.field)
+    return count_quadratic_roots(e1 * x + e3, -(((x + e2) * x + e4) * x + e6))
+
+
 def test_division_poly_root_lifts_to_point_killed_by_p():
-    # take a degree-3 x-factor over F_(2^4); the point lives in the quadratic
-    # extension of F_(2^12) built from the y-quadratic itself
-    F = make_field(2, 4)
-    psi = FqPoly.from_ints(F, division_poly(E21A4, 5))
-    factor = poly_factor(psi)[0][0]
-    assert factor.degree == 3
-    R = F.extension(factor)
-    x0 = R.gen()
-    e1, e2, e3, e4, e6 = embed_curve(E21A4, R)
-    beta = e1 * x0 + e3
-    gamma = -(((x0 + e2) * x0 + e4) * x0 + e6)
-    yquad = FqPoly(R, (gamma, beta, R.one()))
-    assert is_irreducible(yquad)
-    R2 = R.extension(yquad)
-    x_lift = R2.element([x0])
-    y0 = R2.gen()
-    ai = embed_curve(E21A4, R2)
-    # on the curve by construction of R2
-    assert (
-        y0 * y0 + ai[0] * x_lift * y0 + ai[2] * y0
-        == ((x_lift + ai[1]) * x_lift + ai[3]) * x_lift + ai[4]
-    )
-    point = (x_lift, y0)
-    assert oracle_mul(ai, 5, point) is None
-    assert oracle_mul(ai, 1, point) is not None
+    # the degree-2 x-factor g of psi_5 over F_19 has point degree 4: g splits
+    # over F_(19^2) with no y there, and over F_(19^4) every root of g gives
+    # points on the curve killed by 5
+    psi = FqPoly.from_ints(make_field(19, 1), division_poly(E21A4, 5))
+    g = next(h for h, _ in poly_factor(psi) if h.degree == 2)
+    roots2 = _roots_in(g, make_field(19, 2))
+    assert len(roots2) == 2
+    assert all(_y_roots(E21A4, x)[0] == 0 for x in roots2)
+    F4 = make_field(19, 4)
+    roots4 = _roots_in(g, F4)
+    assert len(roots4) == 2
+    ai = embed_curve(E21A4, F4)
+    for x in roots4:
+        n, ys = _y_roots(E21A4, x)
+        assert n == 2
+        for y in ys:
+            assert (
+                y * y + ai[0] * x * y + ai[2] * y
+                == ((x + ai[1]) * x + ai[3]) * x + ai[4]
+            )
+            assert oracle_mul(ai, 5, (x, y)) is None
+            assert oracle_mul(ai, 1, (x, y)) is not None
+
+
+def _curve(spec):
+    # a registry label, or inline a1,a2,a3,a4,a6
+    if "," in spec:
+        return WeierstrassCurve(*(int(a) for a in spec.split(",")))
+    return load_registry()[spec]
+
+
+def _root_oracle_pairs(curve, p, q):
+    # sorted (x-degree m, point degree) pairs over F_q, independent of the
+    # rule in torsion_point_degrees: take the roots x0 of each x-factor g in
+    # make_field(q, m), m = deg g, and look for a y there
+    psi = FqPoly.from_ints(make_field(q, 1), division_poly(curve, p))
+    pairs = []
+    for g, mult in poly_factor(psi):
+        m = g.degree
+        roots = _roots_in(g, make_field(q, m))
+        assert len(roots) == m
+        has_y = {_y_roots(curve, x)[0] > 0 for x in roots}
+        assert len(has_y) == 1  # conjugate roots agree
+        pairs += [(m, m if has_y.pop() else 2 * m)] * mult
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize(
+    "label,p,q",
+    [
+        ("21a4", 5, 2),  # one x-factor of degree 12
+        ("21a4", 11, 2),  # a1 != 0: point degrees m and 2m at m = 5
+        ("11a1", 7, 2),
+        ("37a1", 5, 2),  # linear factors over F_2
+        ("37a1", 7, 3),
+        ("11a1", 5, 3),
+        ("21a4", 5, 11),
+        ("389a1", 5, 7),
+        ("1,0,1,0,1", 5, 2),  # a1 = a3 = 1: beta(x0) is not constant
+    ],
+)
+def test_point_degrees_match_root_oracle(label, p, q):
+    curve = _curve(label)
+    prof = torsion_point_degrees(curve, p, q, 1)
+    pairs = list(zip(prof.x_factor_degrees, prof.point_degrees))
+    assert pairs == _root_oracle_pairs(curve, p, q)
+
+
+@pytest.mark.parametrize(
+    "label,p,q,f",
+    [
+        ("21a4", 11, 2, 2),
+        ("37a1", 5, 2, 2),
+        ("37a1", 5, 2, 4),
+        ("37a1", 7, 3, 2),
+        ("11a1", 5, 3, 2),
+        ("11a1", 5, 7, 2),
+    ],
+)
+def test_point_degrees_over_extension_follow_from_prime_field(label, p, q, f):
+    # a field of degree n over F_q has degree n/gcd(n, f) over F_(q^f), and
+    # an irreducible x-factor of degree m over F_q splits into gcd(m, f)
+    # factors over F_(q^f)
+    curve = _curve(label)
+    expected = []
+    for m, d in _root_oracle_pairs(curve, p, q):
+        g = math.gcd(m, f)
+        expected += [(m // g, d // math.gcd(d, f))] * g
+    prof = torsion_point_degrees(curve, p, q, f)
+    pairs = list(zip(prof.x_factor_degrees, prof.point_degrees))
+    assert pairs == sorted(expected)
+    assert any(m == d for m, d in pairs)
 
 
 # -- torsion degree profiles -------------------------------------------------------
