@@ -10,7 +10,6 @@ from .arith import (
     FieldContext,
     FqElement,
     FqPoly,
-    count_quadratic_roots,
     is_irreducible,
     make_field,
     poly_factor,

@@ -1,9 +1,9 @@
 """Exact finite-field arithmetic.
 
-Builds F_{q^k} with a canonical modulus, solves quadratic equations in every
-characteristic without enumeration, and factors polynomials completely via
-squarefree decomposition, distinct-degree splitting and seeded
-Cantor-Zassenhaus equal-degree splitting.
+Builds F_{q^k} with a canonical modulus, decides whether a quadratic equation
+has a root in F_Q[x]/(modulus) in every characteristic, and factors
+polynomials completely via squarefree decomposition, distinct-degree
+splitting and seeded Cantor-Zassenhaus equal-degree splitting.
 """
 from __future__ import annotations
 
@@ -45,8 +45,6 @@ class FieldContext:
         self.cardinality = q ** self.k
         self._key = (q, self.k, self.modulus)
         self._hash = hash(self._key)
-        self._nonresidue = None
-        self._trace_one = None
 
     def __eq__(self, other):
         if self is other:
@@ -100,11 +98,6 @@ class FieldContext:
             raise FieldTooLarge(
                 f"cardinality {self.cardinality} exceeds {ENUMERATION_BOUND}"
             )
-        yield from self._lex_element_iter()
-
-    def _lex_element_iter(self) -> Iterator["FqElement"]:
-        # Deterministic search order for non-residues / trace-one elements,
-        # usable even above the enumeration bound (consumed lazily).
         for vec in itertools.product(range(self.q), repeat=self.k):
             yield FqElement(self, vec)
 
@@ -474,129 +467,31 @@ def trace_mod(c: FqPoly, mod: FqPoly, n: int) -> FqPoly:
 # -- quadratic equations -------------------------------------------------------
 
 
-def count_quadratic_roots(
-    beta: FqElement, gamma: FqElement
-) -> tuple[int, tuple[FqElement, ...]]:
-    """Solutions y of y^2 + beta*y + gamma = 0 in the common field.
+def quadratic_has_root(beta: FqPoly, gamma: FqPoly, mod: FqPoly) -> bool:
+    """Whether y^2 + beta*y + gamma = 0 has a root y in F_Q[x]/(mod), for a
+    monic irreducible ``mod`` of degree m over F_Q (mod = x asks it for
+    constants in F_Q itself).
 
-    Odd characteristic uses the quadratic character of beta^2 - 4*gamma and
-    Tonelli-Shanks for the square root.  Characteristic 2: beta = 0 has the
-    single root gamma^(2^(k-1)) (squaring is bijective); beta != 0 has two
-    roots exactly when the absolute trace of gamma/beta^2 vanishes, found via
-    a trace-one element without any enumeration of the field.
+    Odd characteristic: the discriminant beta^2 - 4 gamma is 0 or a square,
+    by Euler's criterion with exponent (Q^m - 1)/2.  Characteristic 2: beta
+    is 0, since squaring is bijective, or the absolute trace of gamma/beta^2
+    is 0; beta^(2Q^m - 4) stands for beta^-2 because Q^m - 3 is negative at
+    Q^m = 2.
     """
-    if beta.field != gamma.field:
-        raise MixedContexts("beta and gamma live in different fields")
-    field = beta.field
+    field = mod.field
+    if not beta.field == gamma.field == field:
+        raise MixedContexts("beta, gamma and mod live in different fields")
+    Qm = field.cardinality ** mod.degree
     if field.q == 2:
-        return _quadratic_char2(field, beta, gamma)
-    return _quadratic_odd(field, beta, gamma)
-
-
-def _quadratic_odd(field, beta, gamma):
-    disc = beta * beta - field.embed(4) * gamma
-    inv2 = field.embed(2).inverse()
+        beta = beta % mod
+        if beta.is_zero():
+            return True
+        c = (gamma * beta.pow_mod(2 * Qm - 4, mod)) % mod
+        return trace_mod(c, mod, field.k * mod.degree).is_zero()
+    disc = (beta * beta - gamma.scale(field.embed(4))) % mod
     if disc.is_zero():
-        return 1, (-beta * inv2,)
-    if quadratic_character(disc) != 1:
-        return 0, ()
-    s = sqrt_element(disc)
-    roots = sorted(((-beta + s) * inv2, (-beta - s) * inv2), key=FqElement.lex_key)
-    return 2, tuple(roots)
-
-
-def _quadratic_char2(field, beta, gamma):
-    n = field.k
-    if beta.is_zero():
-        root = gamma
-        for _ in range(n - 1):
-            root = root * root
-        return 1, (root,)
-    c = gamma * (beta * beta).inverse()
-    tr = c
-    frob = c
-    for _ in range(n - 1):
-        frob = frob * frob
-        tr = tr + frob
-    if not tr.is_zero():
-        return 0, ()
-    theta = _trace_one_element(field)
-    # z with z^2 + z = c: z = sum_{j=1}^{n-1} (sum_{i<j} c^(2^i)) theta^(2^j)
-    z = field.zero()
-    partial = field.zero()
-    cpow = c
-    tpow = theta
-    for _ in range(1, n):
-        partial = partial + cpow
-        cpow = cpow * cpow
-        tpow = tpow * tpow
-        z = z + partial * tpow
-    y1 = beta * z
-    roots = sorted((y1, y1 + beta), key=FqElement.lex_key)
-    return 2, tuple(roots)
-
-
-def _trace_one_element(field):
-    if field._trace_one is None:
-        for cand in field._lex_element_iter():
-            tr = cand
-            frob = cand
-            for _ in range(field.k - 1):
-                frob = frob * frob
-                tr = tr + frob
-            if tr == field.one():
-                field._trace_one = cand
-                break
-    return field._trace_one
-
-
-def quadratic_character(a: FqElement) -> int:
-    """+1 for nonzero squares, -1 for non-squares, 0 for zero (odd char)."""
-    if a.is_zero():
-        return 0
-    e = a ** ((a.field.cardinality - 1) // 2)
-    return 1 if e == a.field.one() else -1
-
-
-def _first_nonresidue(field):
-    if field._nonresidue is None:
-        for cand in field._lex_element_iter():
-            if not cand.is_zero() and quadratic_character(cand) == -1:
-                field._nonresidue = cand
-                break
-    return field._nonresidue
-
-
-def sqrt_element(a: FqElement) -> FqElement:
-    """A square root of a known square, by Tonelli-Shanks (odd cardinality)."""
-    field = a.field
-    if a.is_zero():
-        return a
-    Q = field.cardinality
-    t = Q - 1
-    e = 0
-    while t % 2 == 0:
-        t //= 2
-        e += 1
-    if e == 1:
-        return a ** ((Q + 1) // 4)
-    z = _first_nonresidue(field) ** t
-    x = a ** ((t + 1) // 2)
-    b = a ** t
-    while b != field.one():
-        m = 0
-        probe = b
-        while probe != field.one():
-            probe = probe * probe
-            m += 1
-        g = z
-        for _ in range(e - m - 1):
-            g = g * g
-        x = x * g
-        z = g * g
-        b = b * z
-        e = m
-    return x
+        return True
+    return disc.pow_mod((Qm - 1) // 2, mod) == FqPoly.from_ints(field, (1,))
 
 
 # -- factorization --------------------------------------------------------------

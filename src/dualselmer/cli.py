@@ -176,12 +176,26 @@ def _parse_coeffs(text: str) -> WeierstrassCurve:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _resolve(args, which: str):
-    """Curve from --curve-X coefficients or --label-X registry lookup."""
-    coeffs = getattr(args, f"curve_{which}", None)
-    label = getattr(args, f"label_{which}", None)
+def _int_at_least(low: int):
+    # argparse type: an int below low is a usage error naming the flag
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+def _resolve(args, which: str = ""):
+    """Curve from --curve[-X] coefficients or a --label[-X] registry lookup;
+    which is X ("E" or "A"), empty for the single-curve commands."""
+    suffix = f"-{which}" if which else ""
+    attr = suffix.replace("-", "_")
+    coeffs, label = getattr(args, "curve" + attr), getattr(args, "label" + attr)
     if (coeffs is None) == (label is None):
-        raise UsageError(f"give exactly one of --curve-{which} or --label-{which}")
+        raise UsageError(f"give exactly one of --curve{suffix} or --label{suffix}")
     if coeffs is not None:
         return coeffs, None
     table = registry.load_registry(args.registry)
@@ -247,7 +261,7 @@ def _cmd_paper_example(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    curve, _ = _resolve_single(args)
+    curve, _ = _resolve(args)
     if not is_prime(args.q):
         raise NotPrime(f"{args.q} is not prime")
     factor = lfunc.euler_factor(curve, args.q)
@@ -275,7 +289,7 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_torsion(args) -> int:
-    curve, _ = _resolve_single(args)
+    curve, _ = _resolve(args)
     profile = torsion.torsion_point_degrees(curve, args.p, args.q, args.f)
     tower = torsion.has_p_power_point_degree(profile)
     if args.json:
@@ -296,17 +310,6 @@ def _cmd_torsion(args) -> int:
             f"tower torsion: {'true' if tower else 'false'}\n"
         )
     return EXIT_OK
-
-
-def _resolve_single(args):
-    if (args.curve is None) == (args.label is None):
-        raise UsageError("give exactly one of --curve or --label")
-    if args.curve is not None:
-        return args.curve, None
-    table = registry.load_registry(args.registry)
-    if args.label not in table:
-        raise UsageError(f"label {args.label!r} not in the registry")
-    return table[args.label], args.label
 
 
 def _add_output_flags(sub):
@@ -340,7 +343,7 @@ def build_parser() -> _Parser:
     p_classify.add_argument("--label-A")
     p_classify.add_argument("--lambda", dest="lam", type=int, default=None)
     p_classify.add_argument("--mu", type=int, default=None)
-    p_classify.add_argument("--rk-zp", type=int, default=None)
+    p_classify.add_argument("--rk-zp", type=_int_at_least(0), default=None)
     _add_output_flags(p_classify)
     p_classify.set_defaults(func=_cmd_classify)
 
@@ -354,7 +357,9 @@ def build_parser() -> _Parser:
     _add_single_curve_flags(p_euler)
     p_euler.add_argument("--q", type=int, required=True)
     p_euler.add_argument("--p", type=int, default=None)
-    p_euler.add_argument("--precision", type=int, default=lfunc.DEFAULT_PRECISION)
+    p_euler.add_argument(
+        "--precision", type=_int_at_least(1), default=lfunc.DEFAULT_PRECISION
+    )
     p_euler.add_argument("--json", action="store_true", default=False)
     p_euler.set_defaults(func=_cmd_euler)
 

@@ -1,13 +1,13 @@
 """Weierstrass curves over Q: standard invariants, CM detection, reduction
 types at rational primes, point counts over finite fields (an integer
-quadratic-character sum over prime fields, enumeration over extensions), and
-the good-ordinary test."""
+quadratic-character sum over F_q, then the Frobenius trace recurrence for
+F_(q^k)), and the good-ordinary test."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ENUMERATION_BOUND, FieldContext, count_quadratic_roots, make_field
+from .arith import ENUMERATION_BOUND, FieldContext, make_field
 from .errors import (
     BadReduction,
     FieldTooLarge,
@@ -220,26 +220,19 @@ def reduction_type(curve: WeierstrassCurve, q: int) -> ReductionType:
 def count_points(curve: WeierstrassCurve, field: FieldContext) -> int:
     """#E(F_{q^k}) including the point at infinity.
 
-    Prime fields (k = 1) are counted with Python ints only, in O(q); see
-    _count_points_prime.  Extension fields enumerate x and count the roots
-    of the y-quadratic.
+    F_q is counted with Python ints only, in O(q); see _count_points_prime.
+    That fixes a_q = q + 1 - #E(F_q), and #E(F_(q^k)) = q^k + 1 - s_k with
+    s_0 = 2, s_1 = a_q and s_k = a_q s_(k-1) - q s_(k-2) (Silverman, AEC
+    V.2.3.1), so no extension field is enumerated.
     """
     q = field.q
     if curve.discriminant % q == 0:
         raise BadReduction(f"curve is singular modulo {q}")
-    if field.k == 1:
-        return _count_points_prime(curve, q)
-    e1 = field.embed(curve.a1)
-    e2 = field.embed(curve.a2)
-    e3 = field.embed(curve.a3)
-    e4 = field.embed(curve.a4)
-    e6 = field.embed(curve.a6)
-    total = 1
-    for x in field.elements():
-        beta = e1 * x + e3
-        gamma = -(((x + e2) * x + e4) * x + e6)
-        total += count_quadratic_roots(beta, gamma)[0]
-    return total
+    a_q = q + 1 - _count_points_prime(curve, q)
+    s_prev, s = 2, a_q
+    for _ in range(field.k - 1):
+        s_prev, s = s, a_q * s - q * s_prev
+    return field.cardinality + 1 - s
 
 
 def _count_points_prime(curve: WeierstrassCurve, q: int) -> int:

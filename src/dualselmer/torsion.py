@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FieldContext, FqPoly, make_field, poly_factor, trace_mod
-from .curve import Good, WeierstrassCurve, reduction_type
+from .arith import FieldContext, FqPoly, make_field, poly_factor, quadratic_has_root
+from .curve import WeierstrassCurve, check_minimal_at
 from .errors import (
     BadIndex,
     BadReduction,
@@ -29,13 +29,6 @@ def _trim(p):
     while p and p[-1] == 0:
         p = p[:-1]
     return tuple(p)
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return _trim(tuple(x + y for x, y in zip(a, b)))
 
 
 def _psub(a, b):
@@ -132,28 +125,13 @@ def embed_curve(curve: WeierstrassCurve, field: FieldContext):
 
 def _point_field_degree(curve, field, factor) -> int:
     # Degree over field = F_Q of the field of definition of a point above a
-    # root x0 of the monic irreducible x-factor, decided in
-    # F_Q[x]/(factor) = F_Q(x0), of degree m: the y-quadratic
-    # y^2 + beta(x0) y = gamma(x0) has a root there, giving degree m, or
-    # none, giving 2m.
+    # root x0 of the monic irreducible x-factor, of degree m: the y-quadratic
+    # y^2 + beta(x0) y - gamma(x0) = 0 has a root in F_Q[x]/(factor) =
+    # F_Q(x0), giving degree m, or none, giving 2m.
+    beta = FqPoly.from_ints(field, (curve.a3, curve.a1))
+    gamma = FqPoly.from_ints(field, (curve.a6, curve.a4, curve.a2, 1))
     m = factor.degree
-    Qm = field.cardinality ** m
-    if field.q == 2:
-        # solvable iff beta(x0) = 0 or the absolute trace of gamma/beta^2 is
-        # 0; beta^(2Qm - 4) is beta^-2 (Qm - 3 is negative at Qm = 2)
-        beta = FqPoly.from_ints(field, (curve.a3, curve.a1)) % factor
-        if beta.is_zero():
-            return m
-        gamma = FqPoly.from_ints(field, (curve.a6, curve.a4, curve.a2, 1))
-        c = (gamma * beta.pow_mod(2 * Qm - 4, factor)) % factor
-        return m if trace_mod(c, factor, field.k * m).is_zero() else 2 * m
-    # odd q: solvable iff the discriminant 4x0^3 + b2 x0^2 + 2 b4 x0 + b6
-    # is a square in F_Q(x0)
-    disc = FqPoly.from_ints(field, (curve.b6, 2 * curve.b4, curve.b2, 4)) % factor
-    if disc.is_zero():
-        return m
-    one = FqPoly.from_ints(field, (1,))
-    return m if disc.pow_mod((Qm - 1) // 2, factor) == one else 2 * m
+    return m if quadratic_has_root(beta, -gamma, factor) else 2 * m
 
 
 def torsion_point_degrees(
@@ -168,8 +146,8 @@ def torsion_point_degrees(
         raise SamePrime(f"q = p = {p} is excluded")
     if f < 1:
         raise BadIndex(f"residue degree {f} < 1")
-    red = reduction_type(curve, q)
-    if not isinstance(red, Good):
+    check_minimal_at(curve, q)
+    if curve.discriminant % q == 0:
         raise BadReduction(f"curve has bad reduction at {q}")
     field = make_field(q, f)
     psi = FqPoly.from_ints(field, division_poly(curve, p))

@@ -111,6 +111,42 @@ def curve_points(curve, field):
     return points
 
 
+def curve_points_by_tables(curve, field):
+    """Every affine point plus None for the point at infinity, in O(#F) field
+    operations: tables of w^2 and w^2 + w over the field reduce the
+    y-quadratic y^2 + beta y = rhs at each x, beta = a1 x + a3, to a lookup.
+
+    Odd q: (2y + beta)^2 = beta^2 + 4 rhs, so w^2 = beta^2 + 4 rhs with
+    y = (w - beta)/2.  q = 2 and beta = 0: y^2 = rhs.  q = 2 and beta != 0:
+    y = beta w turns it into w^2 + w = rhs/beta^2.  Every point is checked
+    against the curve equation before it is returned.
+    """
+    e1, e2, e3, e4, e6 = (field.embed(a) for a in curve.a_invariants)
+    elems = list(field.elements())
+    square_roots: dict = {}  # v -> every w with w^2 = v
+    as_roots: dict = {}  # v -> every w with w^2 + w = v
+    for w in elems:
+        square_roots.setdefault(w * w, []).append(w)
+        as_roots.setdefault(w * w + w, []).append(w)
+    four = field.embed(4)
+    half = None if field.q == 2 else field.embed(2).inverse()
+    points = [None]
+    for x in elems:
+        beta = e1 * x + e3
+        rhs = ((x + e2) * x + e4) * x + e6
+        if field.q != 2:
+            ys = [(w - beta) * half
+                  for w in square_roots.get(beta * beta + four * rhs, ())]
+        elif beta.is_zero():
+            ys = square_roots.get(rhs, [])
+        else:
+            ys = [beta * w for w in as_roots.get(rhs / (beta * beta), ())]
+        for y in ys:
+            assert y * y + e1 * x * y + e3 * y == rhs
+            points.append((x, y))
+    return points
+
+
 def frobenius_trace_power(a_q: int, q: int, m: int) -> int:
     """t_m with t_0 = 2, t_1 = a_q, t_m = a_q t_(m-1) - q t_(m-2)."""
     t_prev, t = 2, a_q

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from dualselmer.arith import (
     FieldContext,
     FqPoly,
-    count_quadratic_roots,
     is_irreducible,
     make_field,
     poly_factor,
     poly_gcd,
+    quadratic_has_root,
     trace_mod,
 )
 from dualselmer.errors import (
@@ -112,33 +112,38 @@ def test_mixed_contexts_rejected():
         _ = a + b
 
 
-# -- quadratic roots -------------------------------------------------------------
+# -- quadratic equations -----------------------------------------------------------
+
+
+def _has_root(beta, gamma):
+    # quadratic_has_root on constants, in F[x]/(x) = F
+    return quadratic_has_root(
+        FqPoly(beta.field, (beta,)), FqPoly(gamma.field, (gamma,)), FqPoly.x(beta.field)
+    )
 
 
 def test_quadratic_f5_example():
     F = make_field(5, 1)
-    n, roots = count_quadratic_roots(F.zero(), F.embed(-4))
-    assert n == 2
-    assert {r.coeffs[0] for r in roots} == {2, 3}
+    assert _has_root(F.zero(), F.embed(-4))  # y^2 - 4 = (y - 2)(y - 3)
+    assert not _has_root(F.zero(), F.embed(-2))  # 2 is not a square mod 5
 
 
 def test_quadratic_f2_no_roots():
     F = make_field(2, 1)
-    n, roots = count_quadratic_roots(F.one(), F.one())
-    assert n == 0 and roots == ()
+    assert not _has_root(F.one(), F.one())  # y^2 + y + 1
 
 
 @pytest.mark.parametrize("gamma", [0, 1])
 def test_quadratic_f2_beta_zero_single_root(gamma):
     F = make_field(2, 1)
-    n, roots = count_quadratic_roots(F.zero(), F.embed(gamma))
-    assert n == 1
-    assert roots[0] * roots[0] == F.embed(gamma)
+    g = F.embed(gamma)
+    assert _has_root(F.zero(), g)
+    assert [y for y in F.elements() if y * y == g] == [g]
 
 
 def test_quadratic_mixed_contexts():
     with pytest.raises(MixedContexts):
-        count_quadratic_roots(make_field(2, 2).one(), make_field(2, 3).one())
+        _has_root(make_field(2, 2).one(), make_field(2, 3).one())
 
 
 def _all_fields_up_to(bound):
@@ -157,24 +162,33 @@ def _all_fields_up_to(bound):
 )
 def test_quadratic_agrees_with_enumeration(field):
     # exhaustive oracle: tabulate y^2 and beta*y products as indices, then
-    # check every (beta, gamma) pair against direct enumeration of y
+    # check every (beta, gamma) pair against direct enumeration of y, as
+    # constants mod x over the field itself.  For k > 1 the pairs with
+    # beta in {0, 1, x} are also asked as polynomials of degree < k over F_q
+    # modulo the field's modulus, the F_Q[x]/(factor) form in which point
+    # degrees are decided; with every gamma they reach every discriminant
+    # beta^2 - 4 gamma (odd q) and every gamma/beta^2 (q = 2)
     elems = [field.from_index(i) for i in range(field.cardinality)]
     index = {e: i for i, e in enumerate(elems)}
     mul = [[index[a * b] for b in elems] for a in elems]
     add = [[index[a + b] for b in elems] for a in elems]
     squares = [mul[i][i] for i in range(len(elems))]
     zero = index[field.zero()]
+    prime = make_field(field.q, 1)
+    if field.k > 1:
+        modulus = FqPoly.from_ints(prime, field.modulus)
     for bi in range(len(elems)):
         row = mul[bi]
         for gi in range(len(elems)):
-            expected = sorted(
-                yi
+            solvable = any(
+                add[add[squares[yi]][row[yi]]][gi] == zero
                 for yi in range(len(elems))
-                if add[add[squares[yi]][row[yi]]][gi] == zero
             )
-            n, roots = count_quadratic_roots(elems[bi], elems[gi])
-            assert n == len(expected)
-            assert sorted(index[r] for r in roots) == expected
+            assert _has_root(elems[bi], elems[gi]) == solvable
+            if field.k > 1 and bi in (0, 1, field.q):
+                beta, gamma = (FqPoly.from_ints(prime, elems[i].coeffs)
+                               for i in (bi, gi))
+                assert quadratic_has_root(beta, gamma, modulus) == solvable
 
 
 # -- irreducibility ---------------------------------------------------------------

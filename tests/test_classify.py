@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from dualselmer import classify as cl
+from dualselmer import curve as curve_mod
 from dualselmer.curve import (
     NonsplitMultiplicative,
     SplitMultiplicative,
@@ -108,6 +111,28 @@ def test_classify_prime_paper_values():
     assert ev2.torsion_profile is not None
     ev13 = cl.classify_prime(E21A4, 5, 13, 4)
     assert ev13.prime_class == cl.CLASS_NEITHER
+
+
+@pytest.mark.parametrize(
+    "curve,q,f",
+    [
+        pytest.param(E21A4, 2, 4, id="21a4-q2"),
+        pytest.param(A1950Y1, 11, 1, id="1950y1-q11"),
+    ],
+)
+def test_classify_prime_counts_good_q_once(monkeypatch, curve, q, f):
+    # the reduction type and the torsion profile share one count of F_q
+    counts = Counter()
+    original = curve_mod._count_points_prime
+
+    def counting(curve, q):
+        counts[q] += 1
+        return original(curve, q)
+
+    monkeypatch.setattr(curve_mod, "_count_points_prime", counting)
+    ev = cl.classify_prime(curve, 5, q, f)
+    assert ev.torsion_profile is not None
+    assert counts == {q: 1}
 
 
 def test_classify_prime_p2_case():

@@ -336,6 +336,31 @@ def test_usage_error_codes():
     assert main(["euler", "--label", "21a4"]) == EXIT_USAGE  # missing --q
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["euler", "--label", "21a4", "--q", "5", "--p", "5", "--precision", "0"],
+         "--precision"),
+        (["euler", "--label", "21a4", "--q", "5", "--p", "5", "--precision", "-3"],
+         "--precision"),
+        (["classify", "--p", "5", "--label-E", "21a4", "--label-A", "21a4",
+          "--rk-zp", "-1"], "--rk-zp"),
+    ],
+)
+def test_out_of_range_flags_exit_64_at_parse_time(argv, flag):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from dualselmer.cli import main; raise SystemExit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_console_script_when_installed():
     exe = shutil.which("dualselmer")
     if exe is None:

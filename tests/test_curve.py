@@ -29,7 +29,12 @@ from dualselmer.errors import (
 from dualselmer.integers import is_prime
 from dualselmer.registry import load_registry
 
-from helpers import curve_points, euler_criterion_count, frobenius_trace_power
+from helpers import (
+    curve_points,
+    curve_points_by_tables,
+    euler_criterion_count,
+    frobenius_trace_power,
+)
 
 E21A4 = WeierstrassCurve(1, 0, 0, 1, 0)
 A1950Y1 = WeierstrassCurve(1, 0, 0, -355303, -89334583)
@@ -246,6 +251,19 @@ def test_count_points_bad_reduction():
         count_points(E21A4, make_field(3, 1))
 
 
+@pytest.mark.parametrize(
+    "curve", [E21A4, E_J1728, WeierstrassCurve(1, 0, 1, 0, 1)], ids=str
+)
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_table_oracle_matches_double_loop(curve, q, k):
+    # both enumerate solutions of the curve equation, so bad reduction
+    # (21a4 at 3, y^2 = x^3 + x at 2) is compared as well
+    field = make_field(q, k)
+    points = curve_points_by_tables(curve, field)
+    assert len(points) == len(set(points))
+    assert set(points) == set(curve_points(curve, field))
+
+
 @pytest.mark.parametrize("curve", [E21A4, E_J1728, E_J0], ids=str)
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
 def test_hasse_and_trace_recurrence(curve, q):
@@ -255,8 +273,9 @@ def test_hasse_and_trace_recurrence(curve, q):
     for k in (1, 2, 3):
         if q ** k > 10 ** 6:
             break
-        count = count_points(curve, make_field(q, k))
+        count = len(curve_points_by_tables(curve, make_field(q, k)))
         assert count == q ** k + 1 - frobenius_trace_power(a_q, q, k)
+        assert count == count_points(curve, make_field(q, k))
         assert (q ** k + 1 - count) ** 2 <= 4 * q ** k
 
 
