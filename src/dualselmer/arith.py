@@ -10,6 +10,8 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -43,6 +45,11 @@ class FieldContext:
         self.modulus = None if modulus is None else tuple(modulus)
         self.k = 1 if self.modulus is None else len(self.modulus) - 1
         self.cardinality = q ** self.k
+        # the nonzero lower coefficients of the modulus, for _ereduce
+        self._low_terms = () if self.modulus is None else tuple(
+            (j, c) for j, c in enumerate(self.modulus[:-1]) if c
+        )
+        self._fold_growth = _fold_growth(self)
         self._key = (q, self.k, self.modulus)
         self._hash = hash(self._key)
 
@@ -86,11 +93,7 @@ class FieldContext:
 
     def from_index(self, i: int) -> "FqElement":
         """Element number i in [0, cardinality): base-q digits."""
-        vec = []
-        for _ in range(self.k):
-            i, digit = divmod(i, self.q)
-            vec.append(digit)
-        return FqElement(self, tuple(vec))
+        return FqElement(self, self._eindex(i))
 
     def elements(self) -> Iterator["FqElement"]:
         """All field elements; errors above the enumeration bound."""
@@ -105,15 +108,22 @@ class FieldContext:
 
     def _eadd(self, u, v):
         q = self.q
-        return tuple((a + b) % q for a, b in zip(u, v))
+        return tuple([(a + b) % q for a, b in zip(u, v)])
 
     def _esub(self, u, v):
         q = self.q
-        return tuple((a - b) % q for a, b in zip(u, v))
+        return tuple([(a - b) % q for a, b in zip(u, v)])
 
     def _eneg(self, u):
         q = self.q
-        return tuple(-a % q for a in u)
+        return tuple([-a % q for a in u])
+
+    def _eindex(self, i):
+        vec = []
+        for _ in range(self.k):
+            i, digit = divmod(i, self.q)
+            vec.append(digit)
+        return tuple(vec)
 
     def _emul(self, u, v):
         if self.k == 1:
@@ -127,13 +137,22 @@ class FieldContext:
 
     def _ereduce(self, prod):
         # reduce in place by the monic modulus, then mod q
-        q, n, mod = self.q, self.k, self.modulus
+        q, n, terms = self.q, self.k, self._low_terms
         for i in range(len(prod) - 1, n - 1, -1):
             c = prod[i] % q
             if c:
-                for j in range(n):
-                    prod[i - n + j] -= c * mod[j]
+                for j, m in terms:
+                    prod[i - n + j] -= c * m
         return tuple(c % q for c in prod[:n])
+
+    def _epow(self, u, e):
+        result = (1,) + (0,) * (self.k - 1)
+        while e:
+            if e & 1:
+                result = self._emul(result, u)
+            u = self._emul(u, u)
+            e >>= 1
+        return result
 
     def _einv(self, u):
         q = self.q
@@ -220,14 +239,7 @@ class FqElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FqElement(self.field, self.field._epow(self.coeffs, e))
 
     def inverse(self) -> "FqElement":
         return FqElement(self.field, self.field._einv(self.coeffs))
@@ -243,105 +255,268 @@ class FqElement:
         return f"Fq({self.coeffs} in {self.field!r})"
 
 
-@dataclass(frozen=True)
+# -- polynomials over F_(q^k) -----------------------------------------------------
+#
+# A polynomial is a trimmed tuple of coefficient vectors, the reduced k-tuples
+# of the FieldContext._e* methods.  Products use Kronecker substitution
+# (Harvey, arXiv:0712.4046): each vector becomes 2k - 1 byte-aligned slots of
+# one Python int, its k digits and k - 1 zero slots that take the top of a
+# coefficient product, so one CPython multiply forms the whole product with
+# no carry between slots.  The top k - 1 slots of every product coefficient
+# are then folded into its low k slots by the field modulus, still in the
+# packed int, and each low slot is reduced mod q once.
+
+
+# array item size -> typecode, for the slot widths that array converts in C
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
+def _fold_growth(field: FieldContext) -> int:
+    # The fold adds (q - m_j) * slot t to slot t - k + j for the top slots t,
+    # highest first, so a low slot ends up at most this many times the
+    # largest slot of the unfolded product.
+    k, q = field.k, field.q
+    bound = [1] * (2 * k - 1)
+    for t in range(2 * k - 2, k - 1, -1):
+        for j, c in field._low_terms:
+            bound[t - k + j] += (q - c) * bound[t]
+    return max(bound)
+
+
+def _slot_bytes(field: FieldContext, n: int) -> int:
+    # a product slot, for a shorter operand of n coefficients, is a sum of at
+    # most n*k products of two digits in [0, q) before the fold; widths up to
+    # 8 bytes are rounded up to an array item size
+    bound = n * field.k * (field.q - 1) ** 2 * field._fold_growth
+    w = (bound.bit_length() + 7) // 8
+    return next((size for size in _ARRAY_CODES if size >= w), w)
+
+
+def _pack(vecs, k: int, w: int) -> int:
+    gap = (0,) * (k - 1)
+    digits = list(itertools.chain.from_iterable([v + gap for v in vecs]))
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in digits]), "little")
+    slots = array(code, digits)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def _unpack(field: FieldContext, x: int, n: int, w: int) -> list:
+    # The first n coefficients of the packed product x, reduced; slots above
+    # the top of x read as 0.  For t >= k, y^t = y^(t-k) (y^k - m) mod q and
+    # the modulus m: the fold adds slot t times (q - m_j) to slot t - k + j,
+    # top slot first, which keeps every slot nonnegative.
+    k, q = field.k, field.q
+    bits = 8 * w
+    step = (2 * k - 1) * w
+    if k > 1:
+        blocks = (x.bit_length() + 8 * step - 1) // (8 * step)
+        plane = int.from_bytes((b"\xff" * w + bytes(step - w)) * blocks, "little")
+        times = sum((q - c) << (bits * j) for j, c in field._low_terms)
+        for t in range(2 * k - 2, k - 1, -1):
+            x += (((x >> (bits * t)) & plane) * times) << (bits * (t - k))
+    size = n * step
+    data = x.to_bytes(max(size, (x.bit_length() + 7) // 8), "little")[:size]
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        slots = [int.from_bytes(data[i:i + w], "little") for i in range(0, size, w)]
+    else:
+        digits = array(code, data)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        slots = digits.tolist()
+    return [tuple([c % q for c in slots[i:i + k]]) for i in range(0, len(slots), 2 * k - 1)]
+
+
+def _product(field: FieldContext, a, b, n: int | None = None) -> list:
+    # the first n coefficients (all by default) of a*b, for nonempty a and b
+    w = _slot_bytes(field, min(len(a), len(b)))
+    k = field.k
+    if n is None:
+        n = len(a) + len(b) - 1
+    return _unpack(field, _pack(a, k, w) * _pack(b, k, w), n, w)
+
+
+def _trimmed(vecs) -> tuple:
+    vecs = list(vecs)
+    while vecs and not any(vecs[-1]):
+        vecs.pop()
+    return tuple(vecs)
+
+
+def _series_inverse(field: FieldContext, f, n: int) -> list:
+    # the first n terms of 1/f in F[[y]], f[0] = 1, by Newton's iteration
+    # g <- g - g*(f*g - 1), which doubles the number of correct terms
+    if n <= 0:
+        return []
+    one = (1,) + (0,) * (field.k - 1)
+    esub = field._esub
+    g = [one]
+    while len(g) < n:
+        prec = min(2 * len(g), n)
+        e = _product(field, f[:prec], g, prec)
+        e[0] = esub(e[0], one)
+        ge = _product(field, g, e, prec)
+        g = [esub(u, v) for u, v in zip(g + [(0,) * field.k] * (prec - len(g)), ge)]
+    return g
+
+
+class _Barrett:
+    """Products modulo a fixed polynomial of degree n by Barrett reduction
+    against its monic associate m (von zur Gathen-Gerhard, Modern Computer
+    Algebra, 9.1).  For deg c <= 2n - 2 the quotient of c by m, reversed, is
+    rev(c) * rev(m)^-1 mod y^(n - 1); the negated inverse is computed once
+    here, so each product mod m is three Kronecker products and no division:
+    c = a*b, -quo, and the remainder c + (-quo)*(m - y^n) below y^n."""
+
+    def __init__(self, mod: "FqPoly"):
+        m = mod.monic()
+        field = self.field = m.field
+        n = self.n = m.degree
+        # the remainder's slots add two products of at most n coefficients
+        w = self.w = _slot_bytes(field, 2 * n)
+        self.low = _pack(m.vecs[:n], field.k, w)
+        neg = field._eneg
+        inv = _series_inverse(field, m.vecs[::-1], n - 1)
+        self.neg_inv = _pack([neg(v) for v in inv], field.k, w)
+        self.shift = 8 * w * (2 * field.k - 1) * n  # bits below c[n]
+
+    def mulmod(self, a: tuple, b: tuple) -> tuple:
+        """a*b mod m for coefficient-vector tuples of length at most n."""
+        if not a or not b:
+            return ()
+        field, n, w, k = self.field, self.n, self.w, self.field.k
+        c = _pack(a, k, w) * _pack(b, k, w)
+        size = len(a) + len(b) - 1
+        if size <= n:
+            return tuple(_unpack(field, c, size, w))
+        top = _unpack(field, c >> self.shift, size - n, w)[::-1]
+        neg_quo = _unpack(field, _pack(top, k, w) * self.neg_inv, size - n, w)[::-1]
+        return _trimmed(_unpack(field, c + _pack(neg_quo, k, w) * self.low, n, w))
+
+
 class FqPoly:
     """Polynomial over a FieldContext, coefficients low degree first.
 
-    The empty coefficient vector is the zero polynomial; otherwise the top
-    coefficient is nonzero.
+    ``vecs`` holds the coefficients as reduced int vectors of the field; the
+    empty tuple is the zero polynomial, otherwise the top vector is nonzero.
+    ``coeffs`` is the same polynomial as a tuple of FqElement.  Polynomials
+    are immutable by convention.
     """
 
-    field: FieldContext
-    coeffs: tuple[FqElement, ...]
+    __slots__ = ("field", "vecs")
 
-    def __post_init__(self):
-        coeffs = self.coeffs
+    def __init__(self, field: FieldContext, coeffs: Sequence[FqElement]):
         for c in coeffs:
-            if c.field != self.field:
+            if c.field != field:
                 raise MixedContexts("coefficient outside the polynomial's field")
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self.field = field
+        self.vecs = _trimmed(c.coeffs for c in coeffs)
+
+    @classmethod
+    def _of(cls, field: FieldContext, vecs: tuple) -> "FqPoly":
+        # vecs already reduced and trimmed
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.vecs = vecs
+        return poly
 
     @classmethod
     def from_ints(cls, field: FieldContext, ints: Sequence[int]) -> "FqPoly":
-        return cls(field, tuple(field.embed(c) for c in ints))
+        pad = (0,) * (field.k - 1)
+        return cls._of(field, _trimmed((c % field.q,) + pad for c in ints))
 
     @classmethod
     def x(cls, field: FieldContext) -> "FqPoly":
-        return cls(field, (field.zero(), field.one()))
+        return cls.from_ints(field, (0, 1))
+
+    @property
+    def coeffs(self) -> tuple[FqElement, ...]:
+        return tuple(FqElement(self.field, v) for v in self.vecs)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.vecs) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vecs
+
+    def __eq__(self, other):
+        if not isinstance(other, FqPoly):
+            return NotImplemented
+        return self.field == other.field and self.vecs == other.vecs
+
+    def __hash__(self):
+        return hash((self.field, self.vecs))
+
+    def _peer(self, other: "FqPoly") -> tuple:
+        if other.field != self.field:
+            raise MixedContexts("operands live in different fields")
+        return other.vecs
 
     @property
     def leading(self) -> FqElement:
         if self.is_zero():
             raise ZeroPolynomial("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FqElement(self.field, self.vecs[-1])
 
     def monic(self) -> "FqPoly":
         if self.is_zero():
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        lead = self.leading
-        if lead == self.field.one():
+        field = self.field
+        lead = self.vecs[-1]
+        if lead[0] == 1 and not any(lead[1:]):
             return self
-        inv = lead.inverse()
-        return FqPoly(self.field, tuple(c * inv for c in self.coeffs))
+        inv = field._einv(lead)
+        return FqPoly._of(field, tuple(field._emul(v, inv) for v in self.vecs))
 
     def __add__(self, other: "FqPoly") -> "FqPoly":
-        a, b = self.coeffs, other.coeffs
+        a, b = self.vecs, self._peer(other)
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return FqPoly(self.field, tuple(out))
+        eadd = self.field._eadd
+        return FqPoly._of(
+            self.field, _trimmed([eadd(u, v) for u, v in zip(a, b)] + list(a[len(b):]))
+        )
 
     def __sub__(self, other: "FqPoly") -> "FqPoly":
         return self + (-other)
 
     def __neg__(self) -> "FqPoly":
-        return FqPoly(self.field, tuple(-c for c in self.coeffs))
+        eneg = self.field._eneg
+        return FqPoly._of(self.field, tuple(eneg(v) for v in self.vecs))
 
     def __mul__(self, other: "FqPoly") -> "FqPoly":
-        if self.is_zero() or other.is_zero():
-            return FqPoly(self.field, ())
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return FqPoly(self.field, tuple(out))
+        a, b = self.vecs, self._peer(other)
+        if not a or not b:
+            return FqPoly._of(self.field, ())
+        return FqPoly._of(self.field, tuple(_product(self.field, a, b)))
 
     def scale(self, c: FqElement) -> "FqPoly":
-        return FqPoly(self.field, tuple(a * c for a in self.coeffs))
+        if c.field != self.field:
+            raise MixedContexts("scalar outside the polynomial's field")
+        emul = self.field._emul
+        return FqPoly._of(self.field, _trimmed(emul(v, c.coeffs) for v in self.vecs))
 
     def __divmod__(self, other: "FqPoly") -> tuple["FqPoly", "FqPoly"]:
-        if other.is_zero():
+        b = self._peer(other)
+        if not b:
             raise ZeroPolynomial("division by the zero polynomial")
         field = self.field
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = other.leading.inverse()
-        quo = [field.zero()] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db:
-            c = rem[-1] * inv_lead
-            s = len(rem) - 1 - db
-            if not c.is_zero():
-                quo[s] = c
-                for i in range(db + 1):
-                    rem[s + i] = rem[s + i] - c * other.coeffs[i]
-            rem.pop()
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return FqPoly(field, tuple(quo)), FqPoly(field, tuple(rem))
+        emul, esub = field._emul, field._esub
+        rem = list(self.vecs)
+        db = len(b) - 1
+        inv_lead = field._einv(b[-1])
+        quo = [(0,) * field.k] * max(len(rem) - db, 0)
+        for s in range(len(quo) - 1, -1, -1):
+            c = quo[s] = emul(rem[s + db], inv_lead)
+            if any(c):
+                for i in range(db):
+                    rem[s + i] = esub(rem[s + i], emul(c, b[i]))
+        return FqPoly._of(field, _trimmed(quo)), FqPoly._of(field, _trimmed(rem[:db]))
 
     def __floordiv__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[0]
@@ -350,34 +525,38 @@ class FqPoly:
         return divmod(self, other)[1]
 
     def derivative(self) -> "FqPoly":
-        field = self.field
-        return FqPoly(
-            field,
-            tuple(
-                field.embed(i) * c for i, c in enumerate(self.coeffs) if i >= 1
-            ),
+        q = self.field.q
+        return FqPoly._of(
+            self.field,
+            _trimmed(tuple(i * c % q for c in v) for i, v in enumerate(self.vecs) if i),
         )
 
     def evaluate(self, x: FqElement) -> FqElement:
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        field = self.field
+        if x.field != field:
+            raise MixedContexts("evaluation point outside the polynomial's field")
+        acc = (0,) * field.k
+        for v in reversed(self.vecs):
+            acc = field._eadd(field._emul(acc, x.coeffs), v)
+        return FqElement(field, acc)
 
     def pow_mod(self, e: int, mod: "FqPoly") -> "FqPoly":
         if e < 0:
             raise ValueError(f"pow_mod exponent {e} is negative")
-        result = FqPoly.from_ints(self.field, (1,)) % mod
-        base = self % mod
+        result = (FqPoly.from_ints(self.field, (1,)) % mod).vecs
+        base = (self % mod).vecs
+        barrett = _Barrett(mod)
         while e:
             if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
+                result = barrett.mulmod(result, base)
             e >>= 1
-        return result
+            if e:
+                base = barrett.mulmod(base, base)
+        return FqPoly._of(self.field, result)
 
     def lex_key(self) -> tuple:
-        return (self.degree, tuple(c.lex_key() for c in self.coeffs))
+        """(degree, coefficient vectors): the factor order of poly_factor."""
+        return (self.degree, self.vecs)
 
     def __repr__(self):
         if self.is_zero():
@@ -421,9 +600,7 @@ def make_field(q: int, k: int) -> FieldContext:
             i //= q
         candidate = FqPoly.from_ints(prime, low + [1])
         if is_irreducible(candidate):
-            return FieldContext(
-                q, tuple(c.coeffs[0] for c in candidate.coeffs), _checked=True
-            )
+            return FieldContext(q, tuple(v[0] for v in candidate.vecs), _checked=True)
     raise AssertionError("unreachable: irreducible polynomials exist in every degree")
 
 
@@ -457,10 +634,12 @@ def trace_mod(c: FqPoly, mod: FqPoly, n: int) -> FqPoly:
     absolute trace of c in F_(2^k)[x]/(mod) = F_(2^n), a constant 0 or 1;
     for a product of such moduli it is that trace in each residue field.
     """
-    acc = term = c % mod
+    acc = c % mod
+    barrett = _Barrett(mod)
+    term = acc.vecs
     for _ in range(n - 1):
-        term = (term * term) % mod
-        acc = acc + term
+        term = barrett.mulmod(term, term)
+        acc = acc + FqPoly._of(acc.field, term)
     return acc
 
 
@@ -547,12 +726,12 @@ def _qth_root(f: FqPoly) -> FqPoly:
     q = field.q
     frob_inv = field.cardinality // q  # a -> a^(q^(k-1)) inverts x -> x^q
     root = []
-    for i, c in enumerate(f.coeffs):
+    for i, v in enumerate(f.vecs):
         if i % q == 0:
-            root.append(c ** frob_inv)
-        elif not c.is_zero():
+            root.append(field._epow(v, frob_inv))
+        elif any(v):
             raise AssertionError("polynomial expected to be a q-th power")
-    return FqPoly(field, tuple(root))
+    return FqPoly._of(field, tuple(root))
 
 
 def _distinct_degree_parts(f: FqPoly) -> list[tuple[int, FqPoly]]:
@@ -585,9 +764,8 @@ def _equal_degree_split(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
     Q = field.cardinality
     one = FqPoly.from_ints(field, (1,))
     while True:
-        r = FqPoly(
-            field,
-            tuple(field.from_index(rng.randrange(Q)) for _ in range(f.degree)),
+        r = FqPoly._of(
+            field, _trimmed(field._eindex(rng.randrange(Q)) for _ in range(f.degree))
         )
         if r.degree < 1:
             continue

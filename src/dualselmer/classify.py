@@ -240,12 +240,19 @@ def build_report(
     label_E: str | None = None,
     label_A: str | None = None,
     extra_caveats: tuple[str, ...] = (),
+    ordinary_ok: bool | None = None,
+    cm_free_ok: bool | None = None,
 ) -> ClassificationReport:
-    """Run the whole classification pipeline and assemble the report."""
+    """Run the whole classification pipeline and assemble the report.
+
+    ordinary_ok (E good ordinary at p) and cm_free_ok (neither curve has CM)
+    are decided here unless the caller has already decided them."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    ordinary_ok = is_good_ordinary(E, p)
-    cm_free_ok = is_cm(E) is None and is_cm(A) is None
+    if ordinary_ok is None:
+        ordinary_ok = is_good_ordinary(E, p)
+    if cm_free_ok is None:
+        cm_free_ok = is_cm(E) is None and is_cm(A) is None
     caveats: list[str] = list(extra_caveats)
     try:
         pro_p_status = pro_p_check(A, p)

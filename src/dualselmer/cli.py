@@ -214,12 +214,16 @@ def _check_p(p: int) -> None:
 
 
 def _checked_report(E, A, p, **kwargs) -> classify_mod.ClassificationReport:
+    # every refusal comes before any factoring, and the report reuses the
+    # hypotheses decided here
     _check_p(p)
     if is_cm(E) is not None or is_cm(A) is not None:
         raise HypothesisFailure("both curves must be without complex multiplication")
     if not is_good_ordinary(E, p):
         raise HypothesisFailure(f"E must have good ordinary reduction at {p}")
-    return classify_mod.build_report(E, A, p, **kwargs)
+    return classify_mod.build_report(
+        E, A, p, ordinary_ok=True, cm_free_ok=True, **kwargs
+    )
 
 
 def _write_report(report, text: bool) -> int:
@@ -264,10 +268,11 @@ def _cmd_euler(args) -> int:
     curve, _ = _resolve(args)
     if not is_prime(args.q):
         raise NotPrime(f"{args.q} is not prime")
+    if args.p is not None:
+        _check_p(args.p)
     factor = lfunc.euler_factor(curve, args.q)
     root = None
     if args.p is not None:
-        _check_p(args.p)
         red = reduction_type(curve, args.p)
         if not isinstance(red, Good):
             raise NotOrdinary(f"no good reduction at {args.p}")
@@ -341,8 +346,8 @@ def build_parser() -> _Parser:
     p_classify.add_argument("--label-E")
     p_classify.add_argument("--curve-A", type=_parse_coeffs, metavar="a1,a2,a3,a4,a6")
     p_classify.add_argument("--label-A")
-    p_classify.add_argument("--lambda", dest="lam", type=int, default=None)
-    p_classify.add_argument("--mu", type=int, default=None)
+    p_classify.add_argument("--lambda", dest="lam", type=_int_at_least(0), default=None)
+    p_classify.add_argument("--mu", type=_int_at_least(0), default=None)
     p_classify.add_argument("--rk-zp", type=_int_at_least(0), default=None)
     _add_output_flags(p_classify)
     p_classify.set_defaults(func=_cmd_classify)

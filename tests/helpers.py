@@ -55,6 +55,62 @@ def product_of_factors(field, factors, leading):
     return acc
 
 
+# schoolbook polynomial arithmetic on FqElement tuples (low degree first) ---
+
+
+def _strip(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def schoolbook_add(field, a, b):
+    """a + b coefficient by coefficient."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _strip(
+        [x + y for x, y in zip(a, b)] + list(a[len(b):])
+    )
+
+
+def schoolbook_mul(field, a, b):
+    """a*b by the double loop, one FqElement product per coefficient pair."""
+    a, b = _strip(a), _strip(b)
+    if not a or not b:
+        return ()
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _strip(out)
+
+
+def schoolbook_divmod(field, a, b):
+    """(quotient, remainder) of a by a nonzero b, by long division."""
+    rem, b = list(_strip(a)), _strip(b)
+    inv = b[-1].inverse()
+    quo = [field.zero()] * max(len(rem) - len(b) + 1, 0)
+    for s in range(len(quo) - 1, -1, -1):
+        c = rem[s + len(b) - 1] * inv
+        quo[s] = c
+        for i, y in enumerate(b):
+            rem[s + i] = rem[s + i] - c * y
+    return _strip(quo), _strip(rem[:len(b) - 1])
+
+
+def schoolbook_pow_mod(field, a, e, m):
+    """a^e mod m by square-and-multiply on the schoolbook product."""
+    result = schoolbook_divmod(field, (field.one(),), m)[1]
+    base = schoolbook_divmod(field, a, m)[1]
+    while e:
+        if e & 1:
+            result = schoolbook_divmod(field, schoolbook_mul(field, result, base), m)[1]
+        base = schoolbook_divmod(field, schoolbook_mul(field, base, base), m)[1]
+        e >>= 1
+    return result
+
+
 # independent chord-and-tangent group law on y^2 + a1 xy + a3 y = x^3 + ... ----
 
 

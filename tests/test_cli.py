@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -6,7 +7,8 @@ import time
 
 import pytest
 
-from dualselmer import torsion
+from dualselmer import classify, curve, lfunc, torsion
+from dualselmer import cli
 from dualselmer.cli import EXIT_COMPUTATION, EXIT_HYPOTHESIS, EXIT_OK, EXIT_USAGE, main
 from dualselmer.errors import RegistryError
 from dualselmer.registry import load_registry, parse_registry
@@ -272,6 +274,16 @@ def test_euler_above_enumeration_bound_exit_1_fast(capsys):
     assert elapsed < 1.0
 
 
+def test_euler_checks_p_before_counting(monkeypatch, capsys):
+    # an invalid --p needs no point count of F_q
+    calls = []
+    monkeypatch.setattr(lfunc, "euler_factor", lambda *args: calls.append(args))
+    rc = main(["euler", "--label", "21a4", "--q", "999983", "--p", "4"])
+    assert rc == EXIT_HYPOTHESIS
+    assert calls == []
+    assert "p must be a prime >= 5" in capsys.readouterr().err
+
+
 def test_euler_prime_near_enumeration_bound(capsys):
     # q = 999983 is the largest prime under the bound; the integer count
     # makes it a sub-second call
@@ -320,6 +332,33 @@ def test_torsion_factors_psi_p_once(monkeypatch, capsys, extra):
     assert ("true" in out) and ("false" not in out)
 
 
+def test_classify_decides_hypotheses_once(monkeypatch, capsys):
+    calls = {"is_good_ordinary": [], "is_cm": []}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name].append(args)
+            return original(*args)
+        return wrapper
+
+    # every module binding of the two predicates
+    originals = {name: getattr(curve, name) for name in calls}
+    for module in (curve, classify, cli):
+        for name, original in originals.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, original))
+    rc = main(["classify", "--p", "5", "--label-E", "21a4", "--label-A", "1950y1"])
+    assert rc == EXIT_OK
+    table = load_registry()
+    assert [(c.a_invariants, p) for c, p in calls["is_good_ordinary"]] == [
+        (table["21a4"].a_invariants, 5)
+    ]
+    assert sorted(c[0].a_invariants for c in calls["is_cm"]) == sorted(
+        (table["21a4"].a_invariants, table["1950y1"].a_invariants)
+    )
+    assert json.loads(capsys.readouterr().out)["hypotheses"]["ordinary_ok"] is True
+
+
 def test_torsion_bad_reduction_exit_2(capsys):
     rc = main(["torsion", "--label", "21a4", "--p", "5", "--q", "3", "--f", "4"])
     assert rc == EXIT_HYPOTHESIS
@@ -345,6 +384,10 @@ def test_usage_error_codes():
          "--precision"),
         (["classify", "--p", "5", "--label-E", "21a4", "--label-A", "21a4",
           "--rk-zp", "-1"], "--rk-zp"),
+        (["classify", "--p", "5", "--label-E", "21a4", "--label-A", "1950y1",
+          "--lambda", "-1", "--mu", "0", "--rk-zp", "0"], "--lambda"),
+        (["classify", "--p", "5", "--label-E", "21a4", "--label-A", "1950y1",
+          "--lambda", "0", "--mu", "-2", "--rk-zp", "0"], "--mu"),
     ],
 )
 def test_out_of_range_flags_exit_64_at_parse_time(argv, flag):
@@ -382,3 +425,36 @@ def test_module_invocation_help():
     )
     assert proc.returncode == 0
     assert "classify" in proc.stdout
+
+
+# -- pinned output bytes -------------------------------------------------------------
+
+# sha256 of stdout; the paper example and the classify cases are the digests
+# that the benchmark pins, the torsion case was taken from the release before
+# polynomials became int vectors
+STDOUT_SHA256 = {
+    ("paper-example",):
+        "c9fc41a945f937f95baad93e9bbbaac90856cd15a9d296a824fbc10f0187b553",
+    ("classify", "--p", "5", "--label-E", "11a1", "--label-A", "21a4"):
+        "c66cdafbe9e49271bead5842e751e5dbbdf9901949a99e72e755333797334007",
+    ("classify", "--p", "7", "--label-E", "11a1", "--label-A", "21a4"):
+        "16d4c3876c9b00898471bbc63a92a743f3cc2e963f24597f290428456ad625c8",
+    ("classify", "--p", "5", "--label-E", "11a1", "--label-A", "1950y1"):
+        "8444aac4f1c4b74a9ce2b7ad87ca5d005ed2d867cbc145e379181e657b22f125",
+    ("classify", "--p", "5", "--label-E", "37a1", "--label-A", "11a1"):
+        "07b659f7a4678a8e40dbb7673e59dcafb05ba78ad5ab29f42048f59cf96c2312",
+    ("classify", "--p", "7", "--label-E", "37a1", "--label-A", "11a1"):
+        "316f9b2b34ce14b4aaf5869f6068414a69e11b3a9202252217e81d90708f67a5",
+    ("classify", "--p", "5", "--label-E", "37a1", "--label-A", "389a1"):
+        "2d0673a30bafe4091c1e145405cffa94c54fb2e3778c993e3b9ccfc2eacf02b6",
+    ("torsion", "--label", "11a1", "--p", "7", "--q", "3", "--f", "6", "--json"):
+        "7b128736bfee3ea1aedadf7ceed84c4daaa6d7ad55a1aaddfc0591fa427f6a81",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+def test_stdout_bytes_pinned(argv, capsys):
+    rc = main(list(argv))
+    out = capsys.readouterr().out
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
