@@ -4,7 +4,6 @@ factor degree profile over F_(q^f) with f = ord_p(q), plus the tower-torsion
 verdict.  Useful for spotting candidate P2 primes of other curve pairs."""
 import argparse
 
-from dualselmer.arith import ENUMERATION_BOUND
 from dualselmer.classify import residue_degree
 from dualselmer.curve import Good, reduction_type
 from dualselmer.integers import is_prime
@@ -28,9 +27,6 @@ def main() -> int:
         if not isinstance(reduction_type(curve, q), Good):
             continue
         f = residue_degree(q, args.p)
-        if q ** f > ENUMERATION_BOUND:
-            print(f"{q:>4} {f:>3} skipped: {q}^{f} above the field-size bound")
-            continue
         prof = torsion_point_degrees(curve, args.p, q, f)
         tower = has_p_power_point_degree(prof)
         print(

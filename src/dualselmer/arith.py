@@ -1,9 +1,9 @@
 """Exact finite-field arithmetic.
 
-Builds F_{q^k} with a canonical modulus, decides whether a quadratic equation
-has a root in F_Q[x]/(modulus) in every characteristic, and factors
-polynomials completely via squarefree decomposition, distinct-degree
-splitting and seeded Cantor-Zassenhaus equal-degree splitting.
+Builds F_{q^k} with a canonical modulus, computes modular powers of
+polynomials over it, and factors polynomials completely via squarefree
+decomposition, distinct-degree splitting and seeded Cantor-Zassenhaus
+equal-degree splitting.
 """
 from __future__ import annotations
 
@@ -370,7 +370,8 @@ class _Barrett:
     Algebra, 9.1).  For deg c <= 2n - 2 the quotient of c by m, reversed, is
     rev(c) * rev(m)^-1 mod y^(n - 1); the negated inverse is computed once
     here, so each product mod m is three Kronecker products and no division:
-    c = a*b, -quo, and the remainder c + (-quo)*(m - y^n) below y^n."""
+    c = a*b, -quo, and the remainder c + (-quo)*(m - y^n) below y^n.  One
+    instance serves every power and trace taken modulo the same m."""
 
     def __init__(self, mod: "FqPoly"):
         m = mod.monic()
@@ -396,6 +397,26 @@ class _Barrett:
         top = _unpack(field, c >> self.shift, size - n, w)[::-1]
         neg_quo = _unpack(field, _pack(top, k, w) * self.neg_inv, size - n, w)[::-1]
         return _trimmed(_unpack(field, c + _pack(neg_quo, k, w) * self.low, n, w))
+
+    def pow(self, base: tuple, e: int) -> tuple:
+        """base^e mod m for a coefficient-vector tuple of length at most n."""
+        result = ((1,) + (0,) * (self.field.k - 1),) if self.n else ()
+        while e:
+            if e & 1:
+                result = self.mulmod(result, base)
+            e >>= 1
+            if e:
+                base = self.mulmod(base, base)
+        return result
+
+    def trace(self, c: "FqPoly", n: int) -> "FqPoly":
+        """Sum of c^(2^i) mod m over i < n, for c reduced mod m."""
+        acc = c
+        term = c.vecs
+        for _ in range(n - 1):
+            term = self.mulmod(term, term)
+            acc = acc + FqPoly._of(c.field, term)
+        return acc
 
 
 class FqPoly:
@@ -543,16 +564,7 @@ class FqPoly:
     def pow_mod(self, e: int, mod: "FqPoly") -> "FqPoly":
         if e < 0:
             raise ValueError(f"pow_mod exponent {e} is negative")
-        result = (FqPoly.from_ints(self.field, (1,)) % mod).vecs
-        base = (self % mod).vecs
-        barrett = _Barrett(mod)
-        while e:
-            if e & 1:
-                result = barrett.mulmod(result, base)
-            e >>= 1
-            if e:
-                base = barrett.mulmod(base, base)
-        return FqPoly._of(self.field, result)
+        return FqPoly._of(self.field, _Barrett(mod).pow((self % mod).vecs, e))
 
     def lex_key(self) -> tuple:
         """(degree, coefficient vectors): the factor order of poly_factor."""
@@ -618,10 +630,11 @@ def is_irreducible(f: FqPoly) -> bool:
     f = f.monic()
     Q = f.field.cardinality
     x = FqPoly.x(f.field)
-    if x.pow_mod(Q ** n, f) != x % f:
+    barrett = _Barrett(f)
+    if barrett.pow(x.vecs, Q ** n) != x.vecs:
         return False
     for r in prime_factors(n):
-        h = x.pow_mod(Q ** (n // r), f) - x
+        h = FqPoly._of(f.field, barrett.pow(x.vecs, Q ** (n // r))) - x
         if poly_gcd(h, f).degree != 0:
             return False
     return True
@@ -634,43 +647,7 @@ def trace_mod(c: FqPoly, mod: FqPoly, n: int) -> FqPoly:
     absolute trace of c in F_(2^k)[x]/(mod) = F_(2^n), a constant 0 or 1;
     for a product of such moduli it is that trace in each residue field.
     """
-    acc = c % mod
-    barrett = _Barrett(mod)
-    term = acc.vecs
-    for _ in range(n - 1):
-        term = barrett.mulmod(term, term)
-        acc = acc + FqPoly._of(acc.field, term)
-    return acc
-
-
-# -- quadratic equations -------------------------------------------------------
-
-
-def quadratic_has_root(beta: FqPoly, gamma: FqPoly, mod: FqPoly) -> bool:
-    """Whether y^2 + beta*y + gamma = 0 has a root y in F_Q[x]/(mod), for a
-    monic irreducible ``mod`` of degree m over F_Q (mod = x asks it for
-    constants in F_Q itself).
-
-    Odd characteristic: the discriminant beta^2 - 4 gamma is 0 or a square,
-    by Euler's criterion with exponent (Q^m - 1)/2.  Characteristic 2: beta
-    is 0, since squaring is bijective, or the absolute trace of gamma/beta^2
-    is 0; beta^(2Q^m - 4) stands for beta^-2 because Q^m - 3 is negative at
-    Q^m = 2.
-    """
-    field = mod.field
-    if not beta.field == gamma.field == field:
-        raise MixedContexts("beta, gamma and mod live in different fields")
-    Qm = field.cardinality ** mod.degree
-    if field.q == 2:
-        beta = beta % mod
-        if beta.is_zero():
-            return True
-        c = (gamma * beta.pow_mod(2 * Qm - 4, mod)) % mod
-        return trace_mod(c, mod, field.k * mod.degree).is_zero()
-    disc = (beta * beta - gamma.scale(field.embed(4))) % mod
-    if disc.is_zero():
-        return True
-    return disc.pow_mod((Qm - 1) // 2, mod) == FqPoly.from_ints(field, (1,))
+    return _Barrett(mod).trace(c % mod, n)
 
 
 # -- factorization --------------------------------------------------------------
@@ -737,22 +714,25 @@ def _qth_root(f: FqPoly) -> FqPoly:
 def _distinct_degree_parts(f: FqPoly) -> list[tuple[int, FqPoly]]:
     # f monic squarefree; returns (d, product of all irreducible factors of
     # degree d)
-    Q = f.field.cardinality
+    field = f.field
+    Q = field.cardinality
     out = []
-    x = FqPoly.x(f.field)
+    x = FqPoly.x(field)
     h = x % f
+    barrett = _Barrett(f)
     d = 0
     while f.degree > 0:
         d += 1
         if 2 * d > f.degree:
             out.append((f.degree, f))
             break
-        h = h.pow_mod(Q, f)
+        h = FqPoly._of(field, barrett.pow(h.vecs, Q))
         g = poly_gcd(h - x, f)
         if g.degree > 0:
             out.append((d, g))
             f = f // g
             h = h % f
+            barrett = _Barrett(f)
     return out
 
 
@@ -763,6 +743,7 @@ def _equal_degree_split(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
     field = f.field
     Q = field.cardinality
     one = FqPoly.from_ints(field, (1,))
+    barrett = _Barrett(f)
     while True:
         r = FqPoly._of(
             field, _trimmed(field._eindex(rng.randrange(Q)) for _ in range(f.degree))
@@ -771,9 +752,10 @@ def _equal_degree_split(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
             continue
         if field.q == 2:
             # trace map of the residue fields F_{2^(k*d)} down to F_2
-            g = poly_gcd(trace_mod(r, f, d * field.k), f)
+            g = poly_gcd(barrett.trace(r, d * field.k), f)
         else:
-            g = poly_gcd(r.pow_mod((Q ** d - 1) // 2, f) - one, f)
+            h = FqPoly._of(field, barrett.pow(r.vecs, (Q ** d - 1) // 2))
+            g = poly_gcd(h - one, f)
         if 0 < g.degree < f.degree:
             return _equal_degree_split(g, d, rng) + _equal_degree_split(
                 (f // g).monic(), d, rng

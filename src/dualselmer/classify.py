@@ -157,9 +157,10 @@ def classify_prime(E: WeierstrassCurve, p: int, q: int, f: int) -> PrimeEvidence
 
     P1 needs multiplicative reduction that is split over K_v; P2 needs good
     reduction with p-torsion appearing along the cyclotomic tower of the
-    residue field.  Additive reduction is always Neither for p >= 5: the
-    semistability defect divides 12, which is coprime to p, so the type is
-    unchanged along the pro-p tower.
+    residue field, decided from the Frobenius class on E[p] with the trace
+    a_q that the reduction type already carries.  Additive reduction is
+    always Neither for p >= 5: the semistability defect divides 12, which is
+    coprime to p, so the type is unchanged along the pro-p tower.
     """
     check_distinct_primes(q, p)
     red = reduction_type(E, q)
@@ -171,7 +172,7 @@ def classify_prime(E: WeierstrassCurve, p: int, q: int, f: int) -> PrimeEvidence
         if split:
             prime_class = CLASS_P1
     elif isinstance(red, Good):
-        profile = torsion_point_degrees(E, p, q, f)
+        profile = torsion_point_degrees(E, p, q, f, a_q=red.trace)
         if has_p_power_point_degree(profile):
             prime_class = CLASS_P2
     else:

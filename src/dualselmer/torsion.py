@@ -1,14 +1,14 @@
 """Division polynomials, fields of definition of p-torsion points over
-residue-field towers, and the rational p-torsion search backing the pro-p
-criterion."""
+residue-field towers (read from the action of Frobenius on E[p]), and the
+rational p-torsion search backing the pro-p criterion."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FieldContext, FqPoly, make_field, poly_factor, quadratic_has_root
-from .curve import WeierstrassCurve, check_minimal_at
+from .arith import FieldContext, FqPoly, make_field
+from .curve import WeierstrassCurve, check_minimal_at, trace_of_frobenius
 from .errors import (
     BadIndex,
     BadReduction,
@@ -123,25 +123,78 @@ def embed_curve(curve: WeierstrassCurve, field: FieldContext):
     return tuple(field.embed(a) for a in curve.a_invariants)
 
 
-def _point_field_degree(curve, field, factor) -> int:
-    # Degree over field = F_Q of the field of definition of a point above a
-    # root x0 of the monic irreducible x-factor, of degree m: the y-quadratic
-    # y^2 + beta(x0) y - gamma(x0) = 0 has a root in F_Q[x]/(factor) =
-    # F_Q(x0), giving degree m, or none, giving 2m.
-    beta = FqPoly.from_ints(field, (curve.a3, curve.a1))
-    gamma = FqPoly.from_ints(field, (curve.a6, curve.a4, curve.a2, 1))
-    m = factor.degree
-    return m if quadratic_has_root(beta, -gamma, factor) else 2 * m
+def frobenius_matrix(
+    curve: WeierstrassCurve, p: int, q: int, f: int, a_q: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A matrix over F_p conjugate to the action on E[p] of the Frobenius of
+    F_Q, Q = q^f, for a good prime q != p with trace a_q = q + 1 - #E(F_q).
+
+    The action has trace s_f and determinant Q mod p, where s_0 = 2,
+    s_1 = a_q and s_k = a_q s_(k-1) - q s_(k-2) (Silverman, AEC V.2.3.1 and
+    III.8).  When t^2 != 4Q the characteristic polynomial X^2 - tX + Q fixes
+    the class, and its companion matrix is returned.  Otherwise the action
+    is lam*I or lam*(I + N), N nilpotent, with lam = t/2 of order e in
+    F_p^*/{+-1}: it is scalar exactly when x^(Q^e) = x modulo psi_p, one
+    modular power over F_q, since psi_p has integer coefficients.
+    """
+    s_prev, t = 2, a_q % p
+    for _ in range(f - 1):
+        s_prev, t = t, (a_q * t - q * s_prev) % p
+    det = pow(q, f, p)
+    if (t * t - 4 * det) % p:
+        return ((0, -det % p), (1, t))
+    lam = t * pow(2, -1, p) % p
+    e, power = 1, lam  # e: the order of lam in F_p^*/{+-1}
+    while power not in (1, p - 1):
+        e, power = e + 1, power * lam % p
+    psi = FqPoly.from_ints(make_field(q, 1), division_poly(curve, p))
+    x = FqPoly.x(psi.field)
+    if x.pow_mod(q ** (f * e), psi) == x:
+        return ((lam, 0), (0, lam))
+    return ((lam, 1), (0, lam))
+
+
+def _orbit_degrees(matrix, p: int) -> list[tuple[int, int]]:
+    # (m, d) for each orbit of the matrix on (F_p^2 - 0)/{+-1}: m is the
+    # least power taking v to +-v, and d is m if that power fixes v, else 2m
+    (a, b), (c, d) = matrix
+    seen = bytearray(p * p)
+    pairs = []
+    for start in range(1, p * p):
+        if seen[start]:
+            continue
+        x0, y0 = divmod(start, p)
+        x, y, m = x0, y0, 0
+        while True:
+            seen[x * p + y] = seen[(-x % p) * p + (-y % p)] = 1
+            x, y, m = (a * x + b * y) % p, (c * x + d * y) % p, m + 1
+            if (x, y) == (x0, y0):
+                pairs.append((m, m))
+                break
+            if (x, y) == (-x0 % p, -y0 % p):
+                pairs.append((m, 2 * m))
+                break
+    return pairs
 
 
 def torsion_point_degrees(
-    curve: WeierstrassCurve, p: int, q: int, f: int
+    curve: WeierstrassCurve, p: int, q: int, f: int, a_q: int | None = None
 ) -> TorsionDegreeProfile:
-    """Factor psi_p over F_{q^f} and decide, per irreducible x-factor, whether
-    the y-coordinate lives in F_{q^(f*m)} or needs the quadratic extension."""
+    """The degrees over F_Q, Q = q^f, of the x-factors of psi_p and of the
+    points above them, from the Frobenius class on E[p] (frobenius_matrix).
+
+    The roots of psi_p are the x-coordinates of (E[p] - 0)/{+-1}, so each
+    orbit of Frobenius there, of size m, is an irreducible x-factor of
+    degree m; its points have degree m if the m-th power fixes them and 2m
+    if it negates them.  a_q, when given, is the trace of Frobenius at q
+    already counted by the caller; otherwise F_q is counted here.  No
+    extension field is built and nothing is factored.
+    """
     for n in (p, q):
         if not is_prime(n):
             raise NotPrime(f"{n} is not prime")
+    if p == 2:
+        raise HypothesisFailure("the torsion profile needs an odd prime p")
     if q == p:
         raise SamePrime(f"q = p = {p} is excluded")
     if f < 1:
@@ -149,13 +202,9 @@ def torsion_point_degrees(
     check_minimal_at(curve, q)
     if curve.discriminant % q == 0:
         raise BadReduction(f"curve has bad reduction at {q}")
-    field = make_field(q, f)
-    psi = FqPoly.from_ints(field, division_poly(curve, p))
-    pairs: list[tuple[int, int]] = []
-    for factor, mult in poly_factor(psi):
-        d = _point_field_degree(curve, field, factor)
-        pairs.extend([(factor.degree, d)] * mult)
-    pairs.sort()
+    if a_q is None:
+        a_q = trace_of_frobenius(curve, q)
+    pairs = sorted(_orbit_degrees(frobenius_matrix(curve, p, q, f, a_q), p))
     return TorsionDegreeProfile(
         curve=curve,
         p=p,

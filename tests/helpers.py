@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import itertools
 
-from dualselmer.arith import FieldContext, FqPoly
+from dualselmer.arith import FieldContext, FqPoly, is_irreducible, poly_factor, trace_mod
+from dualselmer.errors import MixedContexts
+from dualselmer.torsion import division_poly
 
 
 def monic_polys(field: FieldContext, degree: int):
@@ -227,3 +229,65 @@ def euler_criterion_count(curve, q: int) -> int:
         elif pow(disc, (q - 1) // 2, q) == 1:
             total += 2
     return total
+
+
+# torsion degree profiles by factoring psi_p -------------------------------------
+
+
+def quadratic_has_root(beta: FqPoly, gamma: FqPoly, mod: FqPoly) -> bool:
+    """Whether y^2 + beta*y + gamma = 0 has a root y in F_Q[x]/(mod), for a
+    monic irreducible ``mod`` of degree m over F_Q (mod = x asks it for
+    constants in F_Q itself).
+
+    Odd characteristic: the discriminant beta^2 - 4 gamma is 0 or a square,
+    by Euler's criterion with exponent (Q^m - 1)/2.  Characteristic 2: beta
+    is 0, since squaring is bijective, or the absolute trace of gamma/beta^2
+    is 0; beta^(2Q^m - 4) stands for beta^-2 because Q^m - 3 is negative at
+    Q^m = 2.
+    """
+    field = mod.field
+    if not beta.field == gamma.field == field:
+        raise MixedContexts("beta, gamma and mod live in different fields")
+    Qm = field.cardinality ** mod.degree
+    if field.q == 2:
+        beta = beta % mod
+        if beta.is_zero():
+            return True
+        c = (gamma * beta.pow_mod(2 * Qm - 4, mod)) % mod
+        return trace_mod(c, mod, field.k * mod.degree).is_zero()
+    disc = (beta * beta - gamma.scale(field.embed(4))) % mod
+    if disc.is_zero():
+        return True
+    return disc.pow_mod((Qm - 1) // 2, mod) == FqPoly.from_ints(field, (1,))
+
+
+def factoring_profile(curve, p: int, field: FieldContext) -> list[tuple[int, int]]:
+    """Sorted (x-factor degree m, point degree) pairs of psi_p over the field.
+
+    psi_p is factored with poly_factor; the points above the roots x0 of a
+    factor g of degree m have degree m when the y-quadratic
+    y^2 + beta(x0) y - gamma(x0) = 0 has a root in F_Q[x]/(g) = F_Q(x0),
+    and 2m otherwise.
+    """
+    psi = FqPoly.from_ints(field, division_poly(curve, p))
+    beta = FqPoly.from_ints(field, (curve.a3, curve.a1))
+    gamma = FqPoly.from_ints(field, (curve.a6, curve.a4, curve.a2, 1))
+    pairs = []
+    for factor, mult in poly_factor(psi):
+        m = factor.degree
+        d = m if quadratic_has_root(beta, -gamma, factor) else 2 * m
+        pairs.extend([(m, d)] * mult)
+    return sorted(pairs)
+
+
+def extension_field(q: int, k: int) -> FieldContext:
+    """F_(q^k) built from its modulus, with no bound on q^k: the modulus is
+    the first monic irreducible x^k + c(x) in the base-q order of c."""
+    prime = FieldContext(q)
+    if k == 1:
+        return prime
+    for idx in itertools.count():
+        low = [idx // q ** j % q for j in range(k)]
+        candidate = FqPoly.from_ints(prime, low + [1])
+        if is_irreducible(candidate):
+            return FieldContext(q, tuple(v[0] for v in candidate.vecs))

@@ -11,7 +11,6 @@ from dualselmer.arith import (
     make_field,
     poly_factor,
     poly_gcd,
-    quadratic_has_root,
     trace_mod,
 )
 from dualselmer.errors import (
@@ -21,7 +20,12 @@ from dualselmer.errors import (
     ZeroPolynomial,
 )
 
-from helpers import brute_force_factor, monic_polys, product_of_factors
+from helpers import (
+    brute_force_factor,
+    monic_polys,
+    product_of_factors,
+    quadratic_has_root,
+)
 
 
 # -- make_field ---------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from dualselmer import classify as cl
 from dualselmer import curve as curve_mod
+from dualselmer.arith import ENUMERATION_BOUND
 from dualselmer.curve import (
     NonsplitMultiplicative,
     SplitMultiplicative,
@@ -18,6 +19,9 @@ from dualselmer.errors import (
     SamePrime,
 )
 from dualselmer.integers import valuation
+from dualselmer.registry import load_registry
+
+from helpers import extension_field, factoring_profile
 
 E21A4 = WeierstrassCurve(1, 0, 0, 1, 0)
 A1950Y1 = WeierstrassCurve(1, 0, 0, -355303, -89334583)
@@ -268,3 +272,21 @@ def test_build_report_divisor_search_degraded(monkeypatch):
     report = cl.build_report(E21A4, A1950Y1, 5, lam=0, mu=0, rk_zp=0)
     assert report.pro_p_status == cl.PRO_P_INCONCLUSIVE
     assert any("divisor bound" in c for c in report.caveats)
+
+
+@pytest.mark.parametrize(
+    "label_E,label_A,p",
+    [("21a4", "37a1", 5), ("11a1", "389a1", 7), ("11a1", "5077a1", 5)],
+)
+def test_profiles_above_the_field_bound_match_factoring_oracle(label_E, label_A, p):
+    # F_(37^4), F_(389^3) and F_(5077^4) are above make_field's bound; the
+    # oracle factors psi_p over each, built from its modulus directly
+    table = load_registry()
+    E = table[label_E]
+    report = cl.build_report(E, table[label_A], p)
+    profiled = [ev for ev in report.evidence if ev.torsion_profile is not None]
+    assert any(ev.q ** ev.f > ENUMERATION_BOUND for ev in profiled)
+    for ev in profiled:
+        prof = ev.torsion_profile
+        pairs = list(zip(prof.x_factor_degrees, prof.point_degrees))
+        assert pairs == factoring_profile(E, p, extension_field(ev.q, ev.f))

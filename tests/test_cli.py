@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -417,6 +419,38 @@ def test_console_script_when_installed():
     assert proc.stdout == "1 - T\n"
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+@pytest.mark.parametrize("module", ["dualselmer", "dualselmer.cli"])
+def test_python_m_runs_the_cli(module):
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "paper-example"],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert proc.returncode == EXIT_OK
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        STDOUT_SHA256[("paper-example",)]
+    )
+
+
+def test_classify_p19_answers(capsys):
+    # psi_19 has degree 180; the profile needs no factoring of it over
+    # F_(2^18) or F_(5^9)
+    start = time.perf_counter()
+    rc = main(["classify", "--p", "19", "--label-E", "21a4", "--label-A", "1950y1"])
+    elapsed = time.perf_counter() - start
+    assert rc == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert data["summary"]["P0"] == [2, 3, 5, 13]
+    assert elapsed < 10.0
+
+
 def test_module_invocation_help():
     proc = subprocess.run(
         [sys.executable, "-c", "from dualselmer.cli import main; raise SystemExit(main(['--help']))"],
@@ -429,9 +463,10 @@ def test_module_invocation_help():
 
 # -- pinned output bytes -------------------------------------------------------------
 
-# sha256 of stdout; the paper example and the classify cases are the digests
-# that the benchmark pins, the torsion case was taken from the release before
-# polynomials became int vectors
+# sha256 of stdout; the paper example and the first six classify cases are
+# the digests that the benchmark pins, the torsion case was taken from the
+# release before polynomials became int vectors, and classify at p = 13 from
+# the release that still factored psi_p
 STDOUT_SHA256 = {
     ("paper-example",):
         "c9fc41a945f937f95baad93e9bbbaac90856cd15a9d296a824fbc10f0187b553",
@@ -449,6 +484,17 @@ STDOUT_SHA256 = {
         "2d0673a30bafe4091c1e145405cffa94c54fb2e3778c993e3b9ccfc2eacf02b6",
     ("torsion", "--label", "11a1", "--p", "7", "--q", "3", "--f", "6", "--json"):
         "7b128736bfee3ea1aedadf7ceed84c4daaa6d7ad55a1aaddfc0591fa427f6a81",
+    ("classify", "--p", "13", "--label-E", "21a4", "--label-A", "1950y1"):
+        "85971e4904397051d0c4c2ce1625875cb67917833ad3350851cca50b8ecd322b",
+    # refused by the field-size bound while the profile came from factoring
+    # psi_p over F_(q^f); their profiles are checked against that factoring
+    # in test_classify
+    ("classify", "--p", "5", "--label-E", "21a4", "--label-A", "37a1"):
+        "700e4e5ff9ac546a7effebff24d6d82ec318cf4b0629cc501109cfa5014f1fc8",
+    ("classify", "--p", "7", "--label-E", "11a1", "--label-A", "389a1"):
+        "67469b73f763a2f99468aff1417196ca80139388c84f2718332de2be5de48751",
+    ("classify", "--p", "5", "--label-E", "11a1", "--label-A", "5077a1"):
+        "1dd1603420c7d6b0aa14765941bba67dad4b969f24e023c85441e7e1fa8bef8e",
 }
 
 

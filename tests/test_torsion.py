@@ -2,16 +2,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualselmer.arith import FqPoly, make_field, poly_factor
-from dualselmer.curve import WeierstrassCurve
+from dualselmer.curve import WeierstrassCurve, trace_of_frobenius
 from dualselmer.errors import (
     BadIndex,
     BadReduction,
     DivisorSearchExhausted,
+    HypothesisFailure,
     SamePrime,
 )
-from dualselmer.integers import is_prime
+from dualselmer.integers import is_prime, multiplicative_order
 from dualselmer.registry import load_registry
 from dualselmer.torsion import (
     division_poly,
@@ -20,11 +22,18 @@ from dualselmer.torsion import (
     point_add,
     point_mul,
     point_neg,
+    frobenius_matrix,
     rational_p_torsion,
     torsion_point_degrees,
 )
 
-from helpers import curve_points, monic_polys, oracle_mul
+from helpers import (
+    curve_points,
+    extension_field,
+    factoring_profile,
+    monic_polys,
+    oracle_mul,
+)
 
 E21A4 = WeierstrassCurve(1, 0, 0, 1, 0)
 A1950Y1 = WeierstrassCurve(1, 0, 0, -355303, -89334583)
@@ -224,6 +233,76 @@ def test_profile_errors():
         torsion_point_degrees(E21A4, 5, 5, 1)
     with pytest.raises(BadReduction):
         torsion_point_degrees(E21A4, 5, 3, 4)
+
+
+def test_profile_refuses_p_2():
+    # division_poly(curve, 2) is the cofactor 1, not the 2-division cubic
+    with pytest.raises(HypothesisFailure, match="odd prime"):
+        torsion_point_degrees(E21A4, 2, 5, 1)
+
+
+# -- the Frobenius class against the factoring oracle ------------------------------
+
+
+def _class_pairs(label, p, q, f):
+    prof = torsion_point_degrees(_curve(label), p, q, f)
+    return list(zip(prof.x_factor_degrees, prof.point_degrees))
+
+
+def _oracle_pairs(label, p, q, f):
+    return factoring_profile(_curve(label), p, make_field(q, f))
+
+
+def _kind(label, p, q, f):
+    # "distinct" eigenvalues, or the degenerate class: "scalar" lam*I or
+    # "nonscalar" lam*(I + N), with the order e of lam in F_p^*/{+-1}
+    curve = _curve(label)
+    (a, b), (c, _) = frobenius_matrix(curve, p, q, f, trace_of_frobenius(curve, q))
+    if c:
+        return "distinct", None
+    e = next(e for e in range(1, p) if pow(a, e, p) in (1, p - 1))
+    return ("scalar" if b == 0 else "nonscalar"), e
+
+
+@pytest.mark.parametrize(
+    "label,p,q,f,kind",
+    [
+        ("21a4", 5, 2, 4, ("distinct", None)),  # q = 2, the paper's F_(2^4)
+        ("37a1", 5, 2, 4, ("scalar", 1)),
+        ("21a4", 11, 2, 10, ("scalar", 1)),  # q = 2, p = 11, f = ord_11(2)
+        ("11a1", 5, 3, 2, ("distinct", None)),  # q = 3
+        ("11a1", 11, 3, 5, ("nonscalar", 1)),  # q = 3, p = 11
+        ("11a1", 3, 13, 1, ("nonscalar", 1)),
+        ("21a4", 5, 23, 2, ("scalar", 2)),  # a_23 = 0: Frobenius^2 = -23
+        ("21a4", 7, 23, 2, ("scalar", 3)),
+        ("11a1", 7, 19, 2, ("scalar", 3)),
+        ("1,0,1,0,1", 5, 2, 4, ("distinct", None)),  # inline, a1 = a3 = 1
+        ("1,0,1,0,1", 11, 2, 10, ("scalar", 1)),
+        ("1,0,1,0,1", 5, 23, 2, ("scalar", 2)),
+        ("0,0,1,0,0", 5, 2, 2, ("scalar", 2)),  # inline, j = 0
+    ],
+)
+def test_class_profile_matches_factoring_oracle(label, p, q, f, kind):
+    assert _kind(label, p, q, f) == kind
+    assert _class_pairs(label, p, q, f) == _oracle_pairs(label, p, q, f)
+
+
+_ORACLE_CASES = [
+    (label, p, q, f)
+    for label in ("21a4", "1950y1", "11a1", "37a1", "389a1", "5077a1",
+                  "1,0,1,0,1", "0,0,1,0,0")
+    for p in (3, 5, 7, 11)
+    for q in range(2, 60)
+    if is_prime(q) and q != p and _curve(label).discriminant % q
+    for f in sorted({1, 2, multiplicative_order(q, p)})
+    if q ** f <= (2000 if p == 11 else 20000)
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_ORACLE_CASES))
+def test_class_profile_matches_factoring_oracle_sampled(case):
+    assert _class_pairs(*case) == _oracle_pairs(*case)
 
 
 # -- tower torsion criterion ---------------------------------------------------------
