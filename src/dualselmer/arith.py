@@ -592,18 +592,20 @@ def make_field(q: int, k: int) -> FieldContext:
     The modulus is the first monic irreducible degree-k polynomial in the
     base-q encoding order of the lower coefficient vector (so x^4 + x + 1
     for F_{2^4}), fixed once and for all to keep factor orderings stable.
+    F_q itself needs no modulus and is built for any prime q; the search for
+    k > 1 is refused above cardinality ENUMERATION_BOUND.
     """
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     if k < 1:
         raise DegreeOutOfRange(f"extension degree {k} < 1")
+    prime = FieldContext(q, _checked=True)
+    if k == 1:
+        return prime
     if q ** k > ENUMERATION_BOUND:
         raise DegreeOutOfRange(
             f"cardinality {q}^{k} exceeds the enumeration bound {ENUMERATION_BOUND}"
         )
-    prime = FieldContext(q, _checked=True)
-    if k == 1:
-        return prime
     for idx in range(q ** k):
         low = []
         i = idx

@@ -40,11 +40,13 @@ class NotOrdinary(HypothesisFailure):
 
 
 class DegreeOutOfRange(ComputationFailure):
-    """Field degree below 1 or cardinality above the enumeration bound."""
+    """Field degree below 1, or an extension F_(q^k), k > 1, whose modulus
+    search would pass the enumeration bound on q^k."""
 
 
 class FieldTooLarge(ComputationFailure):
-    """Element enumeration requested over a field above the bound."""
+    """A point count over F_q with q above the count bound 10^12, or an
+    element enumeration over a field above the enumeration bound."""
 
 
 class MixedContexts(ComputationFailure):

@@ -8,9 +8,16 @@ from __future__ import annotations
 
 import itertools
 
-from dualselmer.arith import FieldContext, FqPoly, is_irreducible, poly_factor, trace_mod
+from dualselmer.arith import (
+    FieldContext,
+    FqPoly,
+    is_irreducible,
+    make_field,
+    poly_factor,
+    trace_mod,
+)
 from dualselmer.errors import MixedContexts
-from dualselmer.torsion import division_poly
+from dualselmer.torsion import division_poly, point_mul
 
 
 def monic_polys(field: FieldContext, degree: int):
@@ -229,6 +236,56 @@ def euler_criterion_count(curve, q: int) -> int:
         elif pow(disc, (q - 1) // 2, q) == 1:
             total += 2
     return total
+
+
+def sqrt_mod_prime(v: int, q: int) -> int | None:
+    """A square root of v modulo the odd prime q, or None when v is not a
+    square (Tonelli-Shanks)."""
+    v %= q
+    if v == 0:
+        return 0
+    if pow(v, (q - 1) // 2, q) != 1:
+        return None
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)
+    m, c, r, u = s, pow(z, t, q), pow(v, (t + 1) // 2, q), pow(v, t, q)
+    while u != 1:
+        i, w = 0, u
+        while w != 1:
+            i, w = i + 1, w * w % q
+        b = pow(c, 1 << (m - i - 1), q)
+        m, c, r, u = i, b * b % q, r * b % q, u * b * b % q
+    return r
+
+
+def check_trace_by_point_orders(curve, q: int, a_q: int, points: int = 4) -> None:
+    """Assert the Hasse bound a_q^2 <= 4q, (q + 1 - a_q) P = O for `points`
+    points P of E(F_q), and (q + 1 + a_q) P' = O for as many points P' of
+    the quadratic twist y^2 = x^3 + A u^2 x + B u^3 (A = -27 c4, B = -54 c6,
+    u a non-square), with torsion.point_mul over make_field(q, 1).  Points
+    solve the y-quadratic of a model with a square root mod q."""
+    assert a_q * a_q <= 4 * q
+    field = make_field(q, 1)
+    half = pow(2, -1, q)
+    u = next(u for u in range(2, q) if sqrt_mod_prime(u, q) is None)
+    twist = (0, 0, 0, -27 * curve.c4 * u * u, -54 * curve.c6 * u ** 3)
+    for model, order in ((curve.a_invariants, q + 1 - a_q), (twist, q + 1 + a_q)):
+        a1, a2, a3, a4, a6 = model
+        ai = tuple(field.embed(a) for a in model)
+        found = 0
+        for x in range(q):
+            beta = a1 * x + a3
+            w = sqrt_mod_prime(beta * beta + 4 * (((x + a2) * x + a4) * x + a6), q)
+            if w is None:
+                continue
+            P = (field.embed(x), field.embed((w - beta) * half))
+            assert point_mul(ai, order, P) is None
+            found += 1
+            if found == points:
+                break
+        assert found == points
 
 
 # torsion degree profiles by factoring psi_p -------------------------------------

@@ -15,6 +15,7 @@ from dualselmer.arith import (
 )
 from dualselmer.errors import (
     DegreeOutOfRange,
+    FieldTooLarge,
     MixedContexts,
     NotPrime,
     ZeroPolynomial,
@@ -79,6 +80,15 @@ def test_make_field_rejects_composite():
 def test_make_field_degree_out_of_range(q, k):
     with pytest.raises(DegreeOutOfRange):
         make_field(q, k)
+
+
+def test_make_field_prime_field_has_no_bound():
+    # F_q needs no modulus search; enumerating it still meets the bound
+    q = 10 ** 12 - 11
+    field = make_field(q, 1)
+    assert (field.q, field.k, field.modulus) == (q, 1, None)
+    with pytest.raises(FieldTooLarge):
+        next(field.elements())
 
 
 # -- element arithmetic ---------------------------------------------------------

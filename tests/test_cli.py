@@ -13,7 +13,13 @@ from dualselmer import classify, curve, lfunc, torsion
 from dualselmer import cli
 from dualselmer.cli import EXIT_COMPUTATION, EXIT_HYPOTHESIS, EXIT_OK, EXIT_USAGE, main
 from dualselmer.errors import RegistryError
+from dualselmer.integers import is_prime
 from dualselmer.registry import load_registry, parse_registry
+
+from helpers import check_trace_by_point_orders
+
+FIRST_PRIME_ABOVE_COUNT_BOUND = 10 ** 12 + 39
+LAST_PRIME_BELOW_COUNT_BOUND = 10 ** 12 - 11
 
 PAPER_ARGS = [
     "classify",
@@ -144,6 +150,30 @@ def test_classify_non_minimal_exit_1(capsys):
     assert rc == EXIT_COMPUTATION
 
 
+@pytest.mark.parametrize("c,big_q", [(49, 1047779), (20000, 15709483633)])
+def test_classify_at_a_bad_prime_above_1e6(c, big_q, capsys):
+    # y^2 + y = x^3 - x + c is bad at big_q, so classify needs a_q of E at
+    # big_q, which the former count bound 10^6 refused (exit 1)
+    A = f"0,0,1,-1,{c}"
+    assert curve.WeierstrassCurve(0, 0, 1, -1, c).discriminant % big_q == 0
+    rc = main(["classify", "--p", "5", "--label-E", "11a1", "--curve-A", A])
+    assert rc == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert big_q in report["summary"]["P0"]
+    (ev,) = [ev for ev in report["evidence"] if ev["q"] == big_q]
+    assert ev["reduction_over_Q"]["type"] == "good"
+    check_trace_by_point_orders(
+        load_registry()["11a1"], big_q, ev["reduction_over_Q"]["trace"]
+    )
+
+
+def test_classify_at_a_bad_prime_above_count_bound_exit_1(capsys):
+    # y^2 + y = x^3 - x + 48113 has the one bad prime 1000030244579 > 10^12
+    rc = main(["classify", "--p", "5", "--label-E", "11a1", "--curve-A", "0,0,1,-1,48113"])
+    assert rc == EXIT_COMPUTATION
+    assert "q = 1000030244579 exceeds the point-count bound" in capsys.readouterr().err
+
+
 def test_classify_precision_flag_removed(capsys):
     rc = main(["classify", "--p", "5", "--label-E", "21a4", "--label-A", "1950y1",
                "--precision", "5"])
@@ -268,12 +298,34 @@ def test_euler_not_ordinary_exit_2(capsys):
 
 
 def test_euler_above_enumeration_bound_exit_1_fast(capsys):
+    # q = 10^12 + 39 is the first prime above the point-count bound
     start = time.perf_counter()
-    rc = main(["euler", "--label", "21a4", "--q", "1000003"])
+    rc = main(["euler", "--label", "21a4", "--q", str(FIRST_PRIME_ABOVE_COUNT_BOUND)])
     elapsed = time.perf_counter() - start
     assert rc == EXIT_COMPUTATION
-    assert "enumeration bound" in capsys.readouterr().err
+    assert "point-count bound 1000000000000" in capsys.readouterr().err
     assert elapsed < 1.0
+
+
+def test_count_bound_neighbours_are_consecutive_primes():
+    assert is_prime(LAST_PRIME_BELOW_COUNT_BOUND) and is_prime(FIRST_PRIME_ABOVE_COUNT_BOUND)
+    assert not any(
+        is_prime(n)
+        for n in range(LAST_PRIME_BELOW_COUNT_BOUND + 1, FIRST_PRIME_ABOVE_COUNT_BOUND)
+    )
+
+
+@pytest.mark.parametrize("q", [1000003, LAST_PRIME_BELOW_COUNT_BOUND])
+def test_euler_above_old_bound_exit_0_fast(q, capsys):
+    start = time.perf_counter()
+    rc = main(["euler", "--label", "11a1", "--q", str(q), "--p", "5", "--json"])
+    elapsed = time.perf_counter() - start
+    assert rc == EXIT_OK
+    assert elapsed < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    one, minus_a_q, q_out = payload["coefficients"]
+    assert (one, q_out) == (1, q)
+    check_trace_by_point_orders(load_registry()["11a1"], q, -minus_a_q)
 
 
 def test_euler_checks_p_before_counting(monkeypatch, capsys):
@@ -287,8 +339,7 @@ def test_euler_checks_p_before_counting(monkeypatch, capsys):
 
 
 def test_euler_prime_near_enumeration_bound(capsys):
-    # q = 999983 is the largest prime under the bound; the integer count
-    # makes it a sub-second call
+    # q = 999983, the largest prime under the former count bound 10^6
     rc = main(["euler", "--label", "21a4", "--q", "999983", "--json"])
     assert rc == EXIT_OK
     one, minus_a_q, q = json.loads(capsys.readouterr().out)["coefficients"]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from dualselmer.integers import is_prime
 from dualselmer.registry import load_registry
 
 from helpers import (
+    check_trace_by_point_orders,
     curve_points,
     curve_points_by_tables,
     euler_criterion_count,
@@ -306,9 +308,76 @@ def test_prime_field_count_matches_euler_criterion_near_1e4(label):
 
 
 def test_prime_field_count_above_bound_refused():
-    # a prime field built without make_field still meets the bound
-    with pytest.raises(FieldTooLarge):
-        count_points(E21A4, FieldContext(1000003))
+    # q = 10^12 + 39, the first prime above the count bound; the bound is
+    # checked before any work, so the refusal is immediate
+    q = 10 ** 12 + 39
+    start = time.perf_counter()
+    with pytest.raises(FieldTooLarge, match="point-count bound 1000000000000"):
+        count_points(E21A4, FieldContext(q))
+    assert time.perf_counter() - start < 1.0
+
+
+# -- Shanks-Mestre (q > 229) against the Euler-criterion count -------------------
+
+SHANKS_MESTRE_PRIMES = [q for q in range(230, 3001) if is_prime(q)]
+E15A1 = WeierstrassCurve(1, 1, 1, -10, -10)  # full rational 2-torsion
+
+
+@given(st.tuples(*[st.integers(-30, 30)] * 5), st.sampled_from(SHANKS_MESTRE_PRIMES))
+@settings(max_examples=80, deadline=None)
+def test_shanks_mestre_matches_euler_criterion(ai, q):
+    try:
+        curve = WeierstrassCurve(*ai)
+    except SingularCurve:
+        assume(False)
+    assume(curve.discriminant % q != 0)
+    assert count_points(curve, make_field(q, 1)) == euler_criterion_count(curve, q)
+
+
+@pytest.mark.parametrize("q", [233, 239, 1009, 2003, 2999])
+@pytest.mark.parametrize("label", sorted(load_registry()))
+def test_shanks_mestre_registry_curves(label, q):
+    curve = load_registry()[label]
+    assert curve.discriminant % q != 0
+    assert count_points(curve, make_field(q, 1)) == euler_criterion_count(curve, q)
+
+
+@pytest.mark.parametrize(
+    "ai,q,a_q",
+    [
+        ((0, 0, 0, 0, 1), 233, 0),  # j = 0, q = 2 mod 3: supersingular
+        ((0, 0, 0, -1, 0), 239, 0),  # j = 1728, q = 3 mod 4: supersingular
+        ((0, 0, 0, -1, 0), 233, None),
+        ((0, 0, 0, 0, 1), 241, None),
+        ((1, 1, 1, -10, -10), 233, None),
+        ((1, 1, 1, -10, -10), 2011, None),
+        ((1, 0, 0, 1, 0), 233, None),
+        ((0, 0, 0, -2, -6), 233, 30),  # a_q = isqrt(4q): #E is the low end
+        ((0, 0, 0, -5, -1), 239, -30),  # a_q = -isqrt(4q): #E is the high end
+        ((0, 0, 0, -5, 1), 239, 30),
+        ((0, 0, 0, 1, 8), 251, 31),
+        ((0, 0, 0, 1, -8), 251, -31),
+        ((0, 0, 0, 0, -3), 241, None),  # #E = hi, a second candidate one lcm below
+    ],
+)
+def test_shanks_mestre_explicit_cases(ai, q, a_q):
+    curve = WeierstrassCurve(*ai)
+    count = euler_criterion_count(curve, q)
+    if a_q is not None:
+        assert count == q + 1 - a_q
+    assert count_points(curve, make_field(q, 1)) == count
+
+
+@pytest.mark.parametrize(
+    "q", [10 ** 6 + 3, 10 ** 9 + 7, 999999999989], ids=["1e6+3", "1e9+7", "below_1e12"]
+)
+def test_large_q_trace_checked_by_point_orders(q):
+    for curve in (E21A4, A1950Y1, E15A1):
+        assert curve.discriminant % q != 0
+        start = time.perf_counter()
+        a_q = trace_of_frobenius(curve, q)
+        assert time.perf_counter() - start < 1.0
+        check_trace_by_point_orders(curve, q, a_q)
 
 
 def test_count_matches_double_loop_small_extensions():
