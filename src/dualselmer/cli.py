@@ -10,6 +10,7 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,20 +189,27 @@ def _int_at_least(low: int):
     return parse
 
 
-def _resolve(args, which: str = ""):
-    """Curve from --curve[-X] coefficients or a --label[-X] registry lookup;
-    which is X ("E" or "A"), empty for the single-curve commands."""
-    suffix = f"-{which}" if which else ""
-    attr = suffix.replace("-", "_")
-    coeffs, label = getattr(args, "curve" + attr), getattr(args, "label" + attr)
-    if (coeffs is None) == (label is None):
-        raise UsageError(f"give exactly one of --curve{suffix} or --label{suffix}")
-    if coeffs is not None:
-        return coeffs, None
+def _resolve(args, *which):
+    """(curve, label) for each X in which ("E", "A", or "" for the
+    single-curve --curve/--label pair), from --curve[-X] coefficients or a
+    --label[-X] registry lookup.  Every pair of flags is checked before the
+    registry is read, and it is read at most once."""
+    picks = []
+    for x in which:
+        suffix = f"-{x}" if x else ""
+        attr = suffix.replace("-", "_")
+        coeffs, label = getattr(args, "curve" + attr), getattr(args, "label" + attr)
+        if (coeffs is None) == (label is None):
+            raise UsageError(f"give exactly one of --curve{suffix} or --label{suffix}")
+        picks.append((coeffs, label))
+    if all(label is None for _, label in picks):
+        return picks
     table = registry.load_registry(args.registry)
-    if label not in table:
-        raise UsageError(f"label {label!r} not in the registry")
-    return table[label], label
+    for _, label in picks:
+        if label is not None and label not in table:
+            raise UsageError(f"label {label!r} not in the registry")
+    return [(coeffs, None) if label is None else (table[label], label)
+            for coeffs, label in picks]
 
 
 class UsageError(Exception):
@@ -235,8 +243,7 @@ def _write_report(report, text: bool) -> int:
 
 
 def _cmd_classify(args) -> int:
-    E, label_E = _resolve(args, "E")
-    A, label_A = _resolve(args, "A")
+    (E, label_E), (A, label_A) = _resolve(args, "E", "A")
     report = _checked_report(
         E, A, args.p, lam=args.lam, mu=args.mu, rk_zp=args.rk_zp,
         label_E=label_E, label_A=label_A,
@@ -265,7 +272,7 @@ def _cmd_paper_example(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    curve, _ = _resolve(args)
+    [(curve, _)] = _resolve(args, "")
     if not is_prime(args.q):
         raise NotPrime(f"{args.q} is not prime")
     if args.p is not None:
@@ -294,7 +301,7 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_torsion(args) -> int:
-    curve, _ = _resolve(args)
+    [(curve, _)] = _resolve(args, "")
     profile = torsion.torsion_point_degrees(curve, args.p, args.q, args.f)
     tower = torsion.has_p_power_point_degree(profile)
     if args.json:
@@ -331,7 +338,10 @@ def _add_single_curve_flags(sub):
     sub.add_argument("--label", help="registry label such as 21a4")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process; main reuses it on every
+    call, which is safe because parse_args keeps no state between calls."""
     parser = _Parser(prog="dualselmer")
     parser.add_argument(
         "--registry", default=None, help="path to an alternative curve registry"

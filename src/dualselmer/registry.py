@@ -6,6 +6,7 @@ the built-in example plus a handful of standard test curves.
 """
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 from .curve import WeierstrassCurve
@@ -38,18 +39,26 @@ def parse_registry(text: str) -> dict[str, WeierstrassCurve]:
     return entries
 
 
+@functools.cache
+def _packaged_registry() -> dict[str, WeierstrassCurve]:
+    return parse_registry(
+        resources.files(__package__).joinpath("curves.txt").read_text()
+    )
+
+
 def load_registry(path: str | None = None) -> dict[str, WeierstrassCurve]:
-    """Registry from a file path, or the packaged default table."""
+    """Registry from a file path, read on every call, or the packaged default
+    table, parsed once per process.  Each call returns a new dict, so a
+    caller that changes it changes no later call."""
     if path is None:
-        text = resources.files(__package__).joinpath("curves.txt").read_text()
-    else:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise RegistryError(
-                f"cannot read registry {path}: {exc.strerror or exc}"
-            ) from exc
-        except UnicodeDecodeError as exc:
-            raise RegistryError(f"registry {path} is not UTF-8 text") from exc
+        return dict(_packaged_registry())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise RegistryError(
+            f"cannot read registry {path}: {exc.strerror or exc}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise RegistryError(f"registry {path} is not UTF-8 text") from exc
     return parse_registry(text)

@@ -1,15 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dualselmer import classify, curve, lfunc, torsion
+from dualselmer import classify, curve, lfunc, registry, torsion
 from dualselmer import cli
 from dualselmer.cli import EXIT_COMPUTATION, EXIT_HYPOTHESIS, EXIT_OK, EXIT_USAGE, main
 from dualselmer.errors import RegistryError
@@ -444,17 +448,11 @@ def test_usage_error_codes():
     ],
 )
 def test_out_of_range_flags_exit_64_at_parse_time(argv, flag):
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from dualselmer.cli import main; raise SystemExit(main(sys.argv[1:]))",
-         *argv],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == EXIT_USAGE
-    assert flag in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    rc, out, err = _run_in_fresh_process(argv)
+    assert rc == EXIT_USAGE
+    assert flag in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_console_script_when_installed():
@@ -474,6 +472,18 @@ def _src_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def _run_in_fresh_process(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from dualselmer.cli import main; raise SystemExit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize("module", ["dualselmer", "dualselmer.cli"])
@@ -510,6 +520,140 @@ def test_module_invocation_help():
     )
     assert proc.returncode == 0
     assert "classify" in proc.stdout
+
+
+# -- repeated calls in one process ---------------------------------------------
+
+
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "first,first_rc,second",
+    [
+        ([*PAPER_ARGS, "--text"], EXIT_OK, PAPER_ARGS),
+        (["euler", "--label", "11a1", "--q", "101", "--p", "5", "--json"], EXIT_OK,
+         ["euler", "--label", "11a1", "--q", "101", "--p", "5"]),
+        (["classify", "--p", "x"], EXIT_USAGE, ["euler", "--label", "21a4", "--q", "5"]),
+        (["--help"], EXIT_OK, ["torsion", "--label", "21a4", "--p", "5", "--q", "2", "--f", "4"]),
+    ],
+    ids=["text-then-json", "euler-json-then-plain", "usage-error-then-ok", "help-then-ok"],
+)
+def test_second_call_matches_a_fresh_process(first, first_rc, second, capsys):
+    assert main(first) == first_rc
+    capsys.readouterr()
+    rc = main(second)
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == _run_in_fresh_process(second)
+
+
+def test_load_registry_returns_a_new_dict_each_call():
+    table = load_registry()
+    curve_11a1 = table["11a1"]
+    table.clear()
+    table["21a4"] = curve_11a1
+    assert load_registry()["21a4"].a_invariants == (1, 0, 0, 1, 0)
+
+
+def test_registry_path_is_read_on_every_call(tmp_path, capsys):
+    path = tmp_path / "curves.txt"
+    argv = ["--registry", str(path), "euler", "--label", "c", "--q", "3"]
+    path.write_text("c:1,0,0,1,0\n")  # 21a4, split multiplicative at 3
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "1 - T\n"
+    path.write_text("c:0,-1,1,-10,-20\n")  # 11a1, good at 3
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "1 + T + 3T^2\n"
+
+
+def test_classify_reads_the_registry_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "curves.txt"
+    path.write_text("21a4:1,0,0,1,0\n1950y1:1,0,0,-355303,-89334583\n")
+    reads = []
+    real = registry.load_registry
+    monkeypatch.setattr(
+        registry, "load_registry", lambda path=None: reads.append(path) or real(path)
+    )
+    assert main(["--registry", str(path), *PAPER_ARGS]) == EXIT_OK
+    assert reads == [str(path)]
+    assert main(["euler", "--curve", "1,0,0,1,0", "--q", "3"]) == EXIT_OK
+    assert main(["classify", "--p", "5", "--curve-E", "1,0,0,1,0",
+                 "--curve-A", "1,0,0,-355303,-89334583"]) == EXIT_OK
+    assert reads == [str(path)]
+
+
+def test_curve_flags_are_checked_before_the_registry_is_read(capsys):
+    rc = main(["--registry", "/nonexistent/curves.txt", "classify", "--p", "5",
+               "--label-E", "21a4"])
+    assert rc == EXIT_USAGE
+    assert "give exactly one of --curve-A or --label-A" in capsys.readouterr().err
+
+
+# the flags of each subcommand in groups: a well-formed argv takes one flag
+# of each group, or none where the group holds None
+FUZZ_FLAGS = {
+    "classify": [["--p"], ["--curve-E", "--label-E"], ["--curve-A", "--label-A"],
+                 ["--lambda", None], ["--mu", None], ["--rk-zp", None],
+                 ["--json", "--text", None]],
+    "paper-example": [["--json", "--text", None]],
+    "euler": [["--curve", "--label"], ["--q"], ["--p", None], ["--precision", None],
+              ["--json", None]],
+    "torsion": [["--curve", "--label"], ["--p"], ["--q"], ["--f"], ["--json", None]],
+}
+SMALL_INT = st.integers(-2, 6).map(str)
+CURVE = st.lists(st.integers(-12, 12), min_size=5, max_size=5).map(
+    lambda a: ",".join(map(str, a))
+)
+LABEL = st.sampled_from(["21a4", "1950y1", "11a1", "37a1", "389a1", "5077a1"])
+FLAG_VALUES = {
+    "--p": st.sampled_from(["-5", "0", "1", "2", "3", "4", "5", "7", "9", "11", "13"]),
+    "--q": st.sampled_from(["-3", "0", "1", "2", "3", "5", "7", "11", "25", "101", "1009"]),
+    "--f": SMALL_INT, "--lambda": SMALL_INT, "--mu": SMALL_INT, "--rk-zp": SMALL_INT,
+    "--precision": SMALL_INT,
+    "--curve": CURVE, "--curve-E": CURVE, "--curve-A": CURVE,
+    "--label": LABEL, "--label-E": LABEL, "--label-A": LABEL,
+}
+GARBAGE = st.sampled_from(
+    ["", "x", "-", "--", "-h", "--help", "--p", "--cur", "--json", "--text", "1.5",
+     "0x10", "1e3", "1_0", " 7", "-1", "1,2", "a,b,c,d,e", "0,0,0,0,0", "nope",
+     "classify", "\u0663"]
+)
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A well-formed argv with small numeric values, then up to two edits,
+    each deleting a token or inserting a garbage one."""
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--registry", draw(st.sampled_from(
+            [str(resources.files("dualselmer") / "curves.txt"), "/nonexistent/curves.txt"]
+        ))]
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv.append(command)
+    for group in FUZZ_FLAGS[command]:
+        flag = draw(st.sampled_from(group))
+        if flag is not None:
+            argv.append(flag)
+            if flag in FLAG_VALUES:
+                argv.append(draw(FLAG_VALUES[flag]))
+    for _ in range(draw(st.integers(0, 2))):
+        if argv and draw(st.booleans()):
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        else:
+            argv.insert(draw(st.integers(0, len(argv))), draw(GARBAGE))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argv())
+def test_argv_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_COMPUTATION, EXIT_HYPOTHESIS, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
 
 
 # -- pinned output bytes -------------------------------------------------------------
